@@ -58,7 +58,7 @@ inline bool ParseBenchFlags(int argc, char** argv, const char* binary_name,
     }
     if (flags.has_shards) {
       std::fprintf(out,
-                   "  --shards=N     serve through a ShardedService with N "
+                   "  --shards=N     serve through a Service with N "
                    "shards (default:\n"
                    "                 the built-in suite of shard counts)\n");
     }

@@ -25,7 +25,7 @@
 //   bench_net [--requests=N] [--shards=N] [--reps=R] [--out=PATH]
 //
 // --shards picks the serving topology behind the socket: the C ABI's
-// num_shards option, so >= 2 publishes a ShardedService (lockstep
+// num_shards option, so >= 2 serves that many shard engines (lockstep
 // replicas, reads routed by shard) through the identical wire surface.
 // Without the flag the suite serves both the single-engine stack and a
 // 2-shard stack, so the committed baseline tracks both topologies.
@@ -62,7 +62,7 @@ constexpr std::size_t kMixPeriod = 5;
 struct Run {
   std::string scenario;
   std::string database;
-  std::size_t shards = 1;  ///< 1 = plain Service, >= 2 = ShardedService
+  std::size_t shards = 1;  ///< shard engines behind the served Service
   std::size_t clients = 0;
   std::size_t requests = 0;
   std::size_t enumerates = 0;

@@ -1,6 +1,6 @@
 // bench_service: queries/sec and p50/p99 latency of the asynchronous
-// serving front doors — `whyprov::Service` and, with --shards N (or the
-// built-in shard suite), `whyprov::ShardedService` — under a mixed
+// serving front door, `whyprov::Service`, over 1 shard and, with
+// --shards N (or the built-in shard suite), N shards — under a mixed
 // read/delta workload.
 //
 // Each configuration evaluates one scenario database, wraps the engine(s)
@@ -63,7 +63,7 @@ struct Run {
   std::string simplify = "fast";
   std::size_t threads_requested = 0;
   std::size_t threads = 0;
-  std::size_t shards = 1;  ///< 1 = plain Service, >1 = ShardedService
+  std::size_t shards = 1;  ///< shard engines behind the Service
   std::size_t requests = 0;
   std::size_t enumerates = 0;
   std::size_t decides = 0;
@@ -111,8 +111,7 @@ double Percentile(std::vector<double> sorted_values, double q) {
 
 /// Admits `request`, riding out a full queue by waiting on the oldest
 /// unfinished ticket (the backpressured-client pattern). Counts refusals.
-template <typename ServiceT>
-whyprov::Ticket SubmitWithBackpressure(ServiceT& service,
+whyprov::Ticket SubmitWithBackpressure(whyprov::Service& service,
                                        const whyprov::Request& request,
                                        std::vector<whyprov::Ticket>& tickets,
                                        std::uint64_t& rejected) {
@@ -129,10 +128,8 @@ whyprov::Ticket SubmitWithBackpressure(ServiceT& service,
   }
 }
 
-/// The mixed read/delta workload against any serving front end (both
-/// expose Submit/engine() with the same shapes).
-template <typename ServiceT>
-void RunMixedWorkload(ServiceT& service, std::size_t total_requests,
+/// The mixed read/delta workload against one service.
+void RunMixedWorkload(whyprov::Service& service, std::size_t total_requests,
                       std::size_t reps, Run& run) {
   // The serving set: sampled answer targets, plus one true member per
   // target as the Decide candidate (warmed through the service itself).
@@ -361,10 +358,12 @@ Run RunConfiguration(const SuiteEntry& entry, std::size_t threads,
                      std::size_t shards, std::size_t total_requests,
                      std::size_t reps) {
   auto scenario = entry.make();
-  whyprov::EngineOptions engine_options;
   whyprov::ServiceOptions service_options;
   service_options.num_threads = threads;
   service_options.queue_capacity = 64;
+  service_options.num_shards = shards;
+  // The scenarios are single-answer-predicate: stripe the target space.
+  service_options.policy = whyprov::ShardPolicy::kByFactRange;
 
   Run run;
   run.scenario = entry.scenario;
@@ -373,18 +372,6 @@ Run RunConfiguration(const SuiteEntry& entry, std::size_t threads,
   run.threads = whyprov::util::ResolveThreadCount(threads);
   run.shards = shards;
 
-  if (shards <= 1) {
-    whyprov::Service service(scenario.MakeEngine(engine_options),
-                             service_options);
-    RunMixedWorkload(service, total_requests, reps, run);
-    return run;
-  }
-  whyprov::ShardedServiceOptions options;
-  options.num_shards = shards;
-  // The scenarios are single-answer-predicate: stripe the target space.
-  options.policy = whyprov::ShardPolicy::kByFactRange;
-  options.engine = engine_options;
-  options.service = service_options;
   const auto predicate =
       scenario.symbols->FindPredicate(scenario.answer_predicate);
   if (!predicate.ok()) {
@@ -394,8 +381,8 @@ Run RunConfiguration(const SuiteEntry& entry, std::size_t threads,
                  entry.scenario.c_str(), predicate.status().message().c_str());
     std::exit(1);
   }
-  auto service = whyprov::ShardedService::Create(
-      scenario.program, scenario.database, predicate.value(), options);
+  auto service = whyprov::Service::Create(scenario.program, scenario.database,
+                                          predicate.value(), service_options);
   if (!service.ok()) {
     std::fprintf(stderr, "error: cannot set up %zu-shard %s: %s\n", shards,
                  entry.scenario.c_str(), service.status().message().c_str());

@@ -1,6 +1,6 @@
 // Sharded serving walkthrough: one logical model partitioned across N
-// engines behind the unchanged Service API — routing, scatter/gather
-// streaming, delta fan-out, and the per-shard stats rows.
+// engines behind one Service — routing, scatter/gather streaming, delta
+// fan-out through the ordered write lane, and the per-shard stats rows.
 //
 // Build & run:  ./build/sharded_serving [num_shards]
 
@@ -30,10 +30,10 @@ int main(int argc, char** argv) {
   const std::size_t num_shards =
       argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 2;
 
-  whyprov::ShardedServiceOptions options;
+  whyprov::ServiceOptions options;
   options.num_shards = num_shards == 0 ? 2 : num_shards;
   auto service =
-      whyprov::ShardedService::FromText(kProgram, kDatabase, "path", options);
+      whyprov::Service::FromText(kProgram, kDatabase, "path", options);
   if (!service.ok()) {
     std::fprintf(stderr, "error: %s\n", service.status().message().c_str());
     return 1;

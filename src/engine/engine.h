@@ -77,15 +77,15 @@ struct EngineOptions {
   std::size_t snapshot_alarm_bytes = 0;
   /// Serialisation of fact-text parsing/rendering against the symbol
   /// table. Normally left null (the engine makes its own mutex); a
-  /// multi-engine layer whose engines share one symbol table — the
-  /// sharded service's replicas — must inject one shared mutex here, or
+  /// multi-engine layer whose engines share one symbol table — a
+  /// Service's shard replicas — must inject one shared mutex here, or
   /// concurrent parses on two engines would race on the shared table.
   std::shared_ptr<util::Mutex> parse_mutex;
   /// Durability (consumed by the serving layer, not the engine itself):
   /// directory holding the write-ahead delta log and checkpoints. When
-  /// non-empty, Service/ShardedService open a storage::DurableStore
-  /// there, recover checkpoint + WAL tail on construction, and log
-  /// every committed delta before applying it. Empty = memory-only.
+  /// non-empty, the Service opens a storage::DurableStore there,
+  /// recovers checkpoint + WAL tail on construction, and logs every
+  /// committed delta before applying it. Empty = memory-only.
   /// Deltas applied directly through Engine::ApplyDelta (bypassing the
   /// serving layer) are NOT logged.
   std::string data_dir;
@@ -273,13 +273,15 @@ struct EngineState {
               EngineOptions options_in);
 
   /// The successor state ApplyDelta builds: the delta-updated model, the
-  /// bumped version, and a plan cache that starts from the predecessor's
-  /// counters (retained plans are re-inserted by the caller). The parse
-  /// mutex is inherited: all versions share one symbol table, so they
-  /// must share the lock that guards it. The database view is NOT copied:
-  /// it materialises lazily from the model on first access.
+  /// bumped version, its database fact count, and a plan cache that
+  /// starts from the predecessor's counters (retained plans are
+  /// re-inserted by the caller). The parse mutex is inherited: all
+  /// versions share one symbol table, so they must share the lock that
+  /// guards it. The database view is NOT copied: it materialises lazily
+  /// from the model on first access.
   EngineState(const EngineState& predecessor, datalog::Model model_in,
-              std::uint64_t model_version_in, double eval_seconds_in);
+              std::uint64_t model_version_in, double eval_seconds_in,
+              std::size_t database_size_in);
 
   ~EngineState();
 
@@ -306,6 +308,10 @@ struct EngineState {
   /// Monotonic database/model version: 0 at construction, +1 per applied
   /// delta. Plans are stamped with the version they are valid for.
   std::uint64_t model_version = 0;
+  /// The number of database facts of this version — what
+  /// database().facts().size() reports, carried forward by each delta so
+  /// request pricing never materialises the view just to count it.
+  std::size_t database_size = 0;
   // eval_seconds is written while model is initialised, so it must be
   // declared (and thus initialised) before model.
   double eval_seconds = 0;
@@ -561,53 +567,6 @@ class PreparedQuery {
   std::shared_ptr<const provenance::QueryPlan> plan_;
 };
 
-/// Thread-count knob for the batch entry points.
-struct BatchOptions {
-  /// Worker threads fanning the batch out (0 = one per hardware thread).
-  std::size_t num_threads = 0;
-};
-
-/// Aggregated throughput statistics of one batch call.
-struct BatchStats {
-  std::size_t requests = 0;   ///< batch size
-  std::size_t succeeded = 0;  ///< requests that completed without error
-  std::size_t failed = 0;     ///< requests that returned an error status
-  std::size_t members_emitted = 0;  ///< total members (enumerate batches)
-  double wall_seconds = 0;          ///< end-to-end batch wall-clock
-  double queries_per_second = 0;    ///< requests / wall_seconds
-  std::size_t plan_cache_hits = 0;    ///< cache hits during the batch
-  std::size_t plan_cache_misses = 0;  ///< cache misses during the batch
-};
-
-/// Per-request outcome of Engine::EnumerateBatch: the materialised members
-/// (subject to the request budgets) plus the handle flags.
-struct BatchEnumerateOutcome {
-  util::Status status;  ///< per-request failure (target resolution, backend)
-  std::vector<std::vector<datalog::Fact>> members;
-  bool exhausted = false;
-  bool incomplete = false;
-  bool hit_member_cap = false;
-  bool hit_timeout = false;
-  double seconds = 0;  ///< wall-clock spent on this request
-};
-
-struct BatchEnumerateResult {
-  std::vector<BatchEnumerateOutcome> outcomes;  ///< parallel to the requests
-  BatchStats stats;
-};
-
-/// Per-request outcome of Engine::DecideBatch.
-struct BatchDecideOutcome {
-  util::Status status;
-  bool member = false;  ///< meaningful only when status.ok()
-  double seconds = 0;
-};
-
-struct BatchDecideResult {
-  std::vector<BatchDecideOutcome> outcomes;  ///< parallel to the requests
-  BatchStats stats;
-};
-
 /// The unified public facade over the whole reproduction: owns parsing,
 /// semi-naive evaluation, and every provenance service of the paper —
 /// incremental whyUN enumeration (Section 5), membership decision
@@ -621,7 +580,7 @@ struct BatchDecideResult {
 /// entry points in an LRU plan cache; each execution then runs against a
 /// fresh per-request solver. All request methods are const and
 /// thread-safe — hammer one engine from as many threads as you like, or
-/// use EnumerateBatch/DecideBatch to let the engine do the fan-out.
+/// serve it through a `Service` for queued, batched, and streamed work.
 ///
 /// The database is mutable between requests: ApplyDelta applies a
 /// fact-level update by semi-naive delta re-evaluation (never a from-
@@ -666,6 +625,9 @@ class Engine {
 
   /// The monotonic model version: 0 at construction, +1 per ApplyDelta.
   std::uint64_t model_version() const { return snapshot()->model_version; }
+
+  /// The current database's fact count, without materialising the view.
+  std::size_t database_size() const { return snapshot()->database_size; }
 
   /// Hit/miss/eviction/invalidation counters of the plan cache behind the
   /// request entry points (cumulative across deltas).
@@ -734,6 +696,10 @@ class Engine {
   /// sharded delta lane guarantees by total-ordering deltas.
   util::Result<DeltaStats> AdoptDelta(const EvaluatedDelta& delta);
 
+  /// AdoptDelta for the last (or only) replica to adopt `delta`: the
+  /// evaluated model is published by move instead of cloned.
+  util::Result<DeltaStats> AdoptDelta(EvaluatedDelta&& delta);
+
   // --- answers ----------------------------------------------------------
 
   /// The answer facts R(t) of the query.
@@ -797,22 +763,6 @@ class Engine {
   /// Reconstructs one member plus a witnessing unambiguous proof tree.
   util::Result<Explanation> Explain(const ExplainRequest& request) const;
 
-  // --- batch serving ----------------------------------------------------
-
-  /// Fans the requests across a worker pool: targets are resolved
-  /// up front, then every request executes a (cached) prepared plan with
-  /// its own solver, honouring its per-request budgets. Outcomes are
-  /// positionally parallel to the requests; `stats` aggregates throughput
-  /// and plan-cache effectiveness over the batch.
-  BatchEnumerateResult EnumerateBatch(
-      const std::vector<EnumerateRequest>& requests,
-      const BatchOptions& options = BatchOptions()) const;
-
-  /// Same fan-out for membership decisions.
-  BatchDecideResult DecideBatch(
-      const std::vector<DecideRequest>& requests,
-      const BatchOptions& options = BatchOptions()) const;
-
  private:
   Engine(datalog::Program program, datalog::Database database,
          datalog::PredicateId answer_predicate, EngineOptions options);
@@ -829,16 +779,6 @@ class Engine {
   static util::Result<datalog::FactId> ResolveTarget(
       const EngineState& state, datalog::FactId target,
       const std::string& target_text);
-
-  /// The request entry points against one pinned snapshot (shared by the
-  /// singular and batch paths, so a delta landing mid-batch cannot mix
-  /// model versions within the batch).
-  static util::Result<Enumeration> EnumerateOn(
-      std::shared_ptr<const EngineState> state,
-      const EnumerateRequest& request);
-  static util::Result<bool> DecideOn(
-      const std::shared_ptr<const EngineState>& state,
-      const DecideRequest& request);
 
   /// The publish half of a delta, with update_mutex_ already held.
   /// `model` is the model to publish: AdoptDelta passes a clone (so the

@@ -16,7 +16,6 @@
 #include "qos/qos.h"
 #include "qos/tenant_registry.h"
 #include "service/service.h"
-#include "shard/sharded_service.h"
 #include "util/mutex.h"
 #include "util/status.h"
 
@@ -68,28 +67,15 @@ void CopyError(const wp::util::Status& status, char* buffer,
 
 }  // namespace
 
-// The handle behind whyprov_service: exactly one of the two serving
-// front ends, plus the pieces the ABI needs that the C++ API keeps
-// implicit — the shared parse mutex (candidate-fact parsing, proof-tree
-// rendering) reaches the symbol table the engines share.
+// The handle behind whyprov_service: the service plus the piece the ABI
+// needs that the C++ API keeps implicit — the shared parse mutex
+// (candidate-fact parsing, proof-tree rendering) reaches the symbol table
+// the shard engines share.
 struct whyprov_service {
-  std::unique_ptr<wp::Service> single;
-  std::unique_ptr<wp::ShardedService> sharded;
+  std::unique_ptr<wp::Service> service;
   std::shared_ptr<wp::util::Mutex> parse_mutex;
 
-  const wp::Engine& engine() const {
-    return single ? single->engine() : sharded->engine();
-  }
-
-  wp::util::Result<wp::Ticket> Submit(
-      wp::Request request, std::shared_ptr<wp::MemberSink> sink = nullptr) {
-    return single ? single->Submit(std::move(request), std::move(sink))
-                  : sharded->Submit(std::move(request), std::move(sink));
-  }
-
-  wp::ServiceStats stats() const {
-    return single ? single->stats() : sharded->stats();
-  }
+  const wp::Engine& engine() const { return service->engine(); }
 };
 
 // The handle behind whyprov_ticket. `facts`/`fact_ptrs` (and the
@@ -219,40 +205,24 @@ whyprov_status whyprov_service_create(const char* program_text,
   service_options.qos.refill_per_second = options->qos_refill_per_second;
   service_options.qos.burst = options->qos_burst;
 
-  auto handle = std::make_unique<whyprov_service>();
-  if (options->num_shards >= 2) {
-    wp::ShardedServiceOptions sharded_options;
-    sharded_options.num_shards = options->num_shards;
-    sharded_options.engine = engine_options;
-    sharded_options.service = service_options;
-    auto sharded = wp::ShardedService::FromText(
-        program_text, database_text, answer_predicate, sharded_options);
-    if (!sharded.ok()) {
-      CopyError(sharded.status(), error_message, error_message_size);
-      return ToC(sharded.status());
-    }
-    handle->sharded = std::move(sharded).value();
-  } else {
-    // The ABI parses candidate facts itself, so the engine must share
-    // its symbol-table lock with us: inject one instead of letting the
-    // engine make a private one.
-    engine_options.parse_mutex = std::make_shared<wp::util::Mutex>();
-    auto engine = wp::Engine::FromText(program_text, database_text,
-                                       answer_predicate, engine_options);
-    if (!engine.ok()) {
-      CopyError(engine.status(), error_message, error_message_size);
-      return ToC(engine.status());
-    }
-    handle->single = std::make_unique<wp::Service>(std::move(engine).value(),
-                                                   service_options);
+  service_options.num_shards = std::max<std::size_t>(1, options->num_shards);
+
+  auto served = wp::Service::FromText(program_text, database_text,
+                                      answer_predicate, service_options,
+                                      engine_options);
+  if (!served.ok()) {
+    CopyError(served.status(), error_message, error_message_size);
+    return ToC(served.status());
   }
-  handle->parse_mutex = handle->engine().options().parse_mutex;
+  auto handle = std::make_unique<whyprov_service>();
+  handle->service = std::move(served).value();
+  // The ABI parses candidate facts itself, so it shares the engines'
+  // symbol-table lock.
+  handle->parse_mutex = handle->engine().PinSnapshot()->parse_mutex;
   // A requested-but-failed durability tier fails creation: callers that
   // set data_dir asked for persistence, and serving memory-only behind
   // their back would silently lose every delta.
-  const wp::util::Status durability =
-      handle->single ? handle->single->durability_status()
-                     : handle->sharded->durability_status();
+  const wp::util::Status durability = handle->service->durability_status();
   if (!durability.ok()) {
     CopyError(durability, error_message, error_message_size);
     return ToC(durability);
@@ -266,7 +236,7 @@ void whyprov_service_destroy(whyprov_service* service) { delete service; }
 void whyprov_service_stats(const whyprov_service* service,
                            whyprov_stats* out_stats) {
   if (service == nullptr || out_stats == nullptr) return;
-  const wp::ServiceStats stats = service->stats();
+  const wp::ServiceStats stats = service->service->stats();
   std::memset(out_stats, 0, sizeof(*out_stats));
   out_stats->submitted = stats.submitted;
   out_stats->rejected = stats.rejected;
@@ -300,7 +270,7 @@ size_t whyprov_service_tenant_stats(const whyprov_service* service,
                                     whyprov_tenant_stats* out_rows,
                                     size_t capacity) {
   if (service == nullptr) return 0;
-  const wp::ServiceStats stats = service->stats();
+  const wp::ServiceStats stats = service->service->stats();
   const std::size_t copied = std::min(capacity, stats.tenants.size());
   for (std::size_t i = 0; i < copied; ++i) {
     const wp::qos::TenantStats& row = stats.tenants[i];
@@ -339,7 +309,7 @@ bool StampQos(int qos_class, const char* tenant, wp::Request& request) {
 whyprov_status FinishSubmit(whyprov_service* service, wp::Request request,
                             std::shared_ptr<wp::MemberStream> stream,
                             whyprov_ticket** out_ticket) {
-  auto submitted = service->Submit(std::move(request), stream);
+  auto submitted = service->service->Submit(std::move(request), stream);
   if (!submitted.ok()) return ToC(submitted.status());
   auto* ticket = new whyprov_ticket;
   ticket->ticket = std::move(submitted).value();

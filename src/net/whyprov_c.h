@@ -2,10 +2,10 @@
 #define WHYPROV_NET_WHYPROV_C_H_
 
 /* whyprov C ABI — a flat, stable C89-callable surface over the serving
- * tier (whyprov::Service / whyprov::ShardedService / whyprov::Ticket /
- * whyprov::MemberStream). This is the layer foreign runtimes and the
- * wire-protocol server (src/net/server.cc) bind against: opaque handles,
- * integer status codes mirroring util::StatusCode, and an explicit
+ * tier (whyprov::Service / whyprov::Ticket / whyprov::MemberStream).
+ * This is the layer foreign runtimes and the wire-protocol server
+ * (src/net/server.cc) bind against: opaque handles, integer status codes
+ * mirroring util::StatusCode, and an explicit
  * create / submit / wait / cancel / stream-next / destroy lifecycle.
  *
  * Threading: a whyprov_service is thread-safe (submit from any thread).
@@ -78,7 +78,7 @@ typedef struct whyprov_options {
   size_t num_threads;        /* worker threads; 0 = one per hw thread */
   size_t queue_capacity;     /* admission bound; 0 = default (256) */
   double default_deadline_seconds; /* applied to deadline-less requests */
-  size_t num_shards;         /* >= 2 serves a ShardedService; else Service */
+  size_t num_shards;         /* shard engines behind the Service; 0 = 1 */
   size_t plan_cache_capacity;     /* 0 = engine default (64) */
   size_t max_snapshot_lag;        /* snapshot GC knob; 0 = never evict */
   size_t snapshot_alarm_bytes;    /* retained-bytes alarm; 0 = off */

@@ -35,7 +35,7 @@ namespace whyprov::qos {
 ///
 ///   * **Shards.** Within a tenant, tasks are bucketed by originating
 ///     shard and drained round-robin across the non-empty buckets, so
-///     one hot shard behind a shared ShardedService pool cannot starve
+///     one hot shard behind a multi-shard Service's pool cannot starve
 ///     its siblings' queued work.
 ///
 /// With only default tags in play (one lane, one tenant, one shard)

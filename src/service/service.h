@@ -1,12 +1,14 @@
 #ifndef WHYPROV_SERVICE_SERVICE_H_
 #define WHYPROV_SERVICE_SERVICE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "qos/cost.h"
 #include "qos/qos.h"
 #include "qos/tenant_registry.h"
+#include "shard/shard_map.h"
 #include "util/cancellation.h"
 #include "util/executor.h"
 #include "util/mutex.h"
@@ -24,7 +27,7 @@
 namespace whyprov {
 
 namespace storage {
-class DurableStore;  // storage/durable_store.h (serving .cc files only)
+class DurableStore;  // storage/durable_store.h (service.cc only)
 }  // namespace storage
 
 /// Which operation a service `Request` carries (mirrors the variant's
@@ -151,14 +154,11 @@ class MemberStream final : public MemberSink {
 /// A future-style handle on one submitted request. Copyable (shares the
 /// underlying state); the service keeps a reference until the request
 /// finished, so dropping every Ticket does not abandon the work — call
-/// Cancel() for that. All methods are thread-safe. Tickets are minted by
-/// every serving front door (`Service`, `ShardedService`) — the state and
-/// completion plumbing are shared, not duplicated per front end.
+/// Cancel() for that. All methods are thread-safe.
 class Ticket {
  public:
-  /// The shared per-request state. Declared here so the serving front
-  /// ends' shared plumbing can name it; defined in serving_internal.h,
-  /// which only the serving .cc files include — not part of the API.
+  /// The shared per-request state (defined in service.cc; not part of
+  /// the API).
   struct State;
 
   /// An empty ticket (valid() == false); Submit returns connected ones.
@@ -193,7 +193,6 @@ class Ticket {
 
  private:
   friend class Service;
-  friend class ShardedService;
   explicit Ticket(std::shared_ptr<State> shared)
       : shared_(std::move(shared)) {}
 
@@ -245,7 +244,8 @@ struct ServiceOptions {
   /// Worker threads executing requests (0 = one per hardware thread).
   std::size_t num_threads = 0;
   /// Admitted-but-unstarted requests the service will hold; Submit
-  /// refuses with kResourceExhausted beyond it (admission control).
+  /// refuses with kResourceExhausted beyond it (admission control). The
+  /// write lane holds up to as many pending deltas again.
   std::size_t queue_capacity = 256;
   /// Deadline applied to requests that carry none (<= 0 = none).
   double default_deadline_seconds = 0;
@@ -254,12 +254,56 @@ struct ServiceOptions {
   /// under which default-class traffic behaves exactly like the pre-QoS
   /// FIFO.
   qos::QosOptions qos;
-  /// The shard this service serves inside a ShardedService pool — the
-  /// scheduler's shard-fairness key. Single-engine services leave it 0.
-  std::size_t qos_shard = 0;
+  /// Shard engines the model is partitioned across, and how (see
+  /// ShardPolicy). Honoured by Service::Create/FromText, which build the
+  /// engines; the Service(Engine) constructor serves its one engine and
+  /// requires num_shards <= 1.
+  std::size_t num_shards = 1;
+  ShardPolicy policy = ShardPolicy::kAuto;
 };
 
-/// One shard's row inside a sharded service's `ServiceStats` — the
+/// Aggregated throughput statistics of one blocking batch call.
+struct BatchStats {
+  std::size_t requests = 0;   ///< batch size
+  std::size_t succeeded = 0;  ///< requests that completed without error
+  std::size_t failed = 0;     ///< requests that returned an error status
+  std::size_t members_emitted = 0;  ///< total members (enumerate batches)
+  double wall_seconds = 0;          ///< end-to-end batch wall-clock
+  double queries_per_second = 0;    ///< requests / wall_seconds
+  std::size_t plan_cache_hits = 0;    ///< cache hits during the batch
+  std::size_t plan_cache_misses = 0;  ///< cache misses during the batch
+};
+
+/// Per-request outcome of Service::EnumerateBatch: the materialised
+/// members (subject to the request budgets) plus the handle flags.
+struct BatchEnumerateOutcome {
+  util::Status status;  ///< per-request failure (target resolution, backend)
+  std::vector<std::vector<datalog::Fact>> members;
+  bool exhausted = false;
+  bool incomplete = false;
+  bool hit_member_cap = false;
+  bool hit_timeout = false;
+  double seconds = 0;  ///< execution wall-clock of this request
+};
+
+struct BatchEnumerateResult {
+  std::vector<BatchEnumerateOutcome> outcomes;  ///< parallel to the requests
+  BatchStats stats;
+};
+
+/// Per-request outcome of Service::DecideBatch.
+struct BatchDecideOutcome {
+  util::Status status;
+  bool member = false;  ///< meaningful only when status.ok()
+  double seconds = 0;
+};
+
+struct BatchDecideResult {
+  std::vector<BatchDecideOutcome> outcomes;  ///< parallel to the requests
+  BatchStats stats;
+};
+
+/// One shard's row inside a multi-shard service's `ServiceStats` — the
 /// per-shard serving health a fleet dashboard needs: its share of the
 /// (shared) queue, its throughput, the model version it currently serves
 /// (versions legitimately skew when delta fan-out prunes a shard), its
@@ -295,7 +339,7 @@ struct ServiceStats {
   /// Snapshot retention (ROADMAP "Snapshot GC & memory observability"):
   /// live model versions — the published one plus those pinned by
   /// in-flight tickets — and their approximate bytes from the COW chunk
-  /// stats. Sums over shards for a sharded service.
+  /// stats, summed over shards.
   std::size_t retained_snapshots = 0;
   std::size_t retained_snapshot_bytes = 0;
   /// Requests failed by the snapshot GC policy because their pinned
@@ -303,13 +347,13 @@ struct ServiceStats {
   /// EngineOptions::max_snapshot_lag deltas (they end kResourceExhausted).
   std::uint64_t snapshot_evictions = 0;
   /// True while retained_snapshot_bytes exceeds the engine's
-  /// EngineOptions::snapshot_alarm_bytes threshold (any shard's, for a
-  /// sharded service). Always false when the threshold is 0.
+  /// EngineOptions::snapshot_alarm_bytes threshold (any shard's). Always
+  /// false when the threshold is 0.
   bool snapshot_alarm = false;
-  /// Sharded services only: spread between the newest and oldest model
-  /// version across shards (non-zero when delta fan-out pruning lets
-  /// untouched shards keep serving an older version), and one row per
-  /// shard. Empty / zero on a single-engine service.
+  /// Spread between the newest and oldest model version across shards
+  /// (non-zero when delta fan-out pruning lets untouched shards keep
+  /// serving an older version), and one row per shard. Zero / empty on a
+  /// one-shard service.
   std::uint64_t version_skew = 0;
   /// Durability tier (ROADMAP "Durability"): activity of the stack's
   /// write-ahead delta log and snapshot checkpoints. All zero when the
@@ -319,31 +363,34 @@ struct ServiceStats {
   std::uint64_t checkpoints_written = 0;
   /// WAL-tail records replayed during recovery at construction.
   std::uint64_t recovery_replayed_deltas = 0;
+  /// Group-commit fsyncs (EngineOptions::wal_group_commit): one per
+  /// burst of deltas, each issued before the burst's last delta is
+  /// acknowledged. Not carried by the C ABI or the wire.
+  std::uint64_t wal_syncs = 0;
   /// Plan-time CNF inprocessing (EngineOptions::plan_simplify), summed
-  /// over the plan cache(s) — across shards on a sharded stack. All zero
-  /// when the knob is off.
+  /// over the shards' plan caches. All zero when the knob is off.
   std::uint64_t plans_simplified = 0;
   std::uint64_t simplify_vars_removed = 0;
   std::uint64_t simplify_clauses_removed = 0;
   std::uint64_t simplify_micros = 0;
   std::vector<ShardStats> shards;
   /// Multi-tenant QoS: one row per (tenant, lane) that ever submitted,
-  /// sorted by tenant then lane. Exact across shards (the registry is
-  /// shared by the whole serving stack).
+  /// sorted by tenant then lane.
   std::vector<qos::TenantStats> tenants;
 };
 
-/// The serving front door over a `whyprov::Engine`: submission-based,
-/// non-blocking, and streaming — the API shape a system answering heavy
-/// interactive traffic needs, where the engine's blocking calls that
-/// materialise full result vectors do not fit.
+/// The serving front door: submission-based, non-blocking, and streaming
+/// — the API shape a system answering heavy interactive traffic needs,
+/// where the engine's blocking calls that materialise full result
+/// vectors do not fit. One logical model, served by N >= 1 shard engines
+/// (N = 1 unless built by Create/FromText with more).
 ///
 ///   * `Submit` admits a unified `Request` (Enumerate / Decide / Explain
-///     / ApplyDelta) onto a bounded queue and returns a `Ticket`
-///     immediately; a full queue refuses with kResourceExhausted instead
-///     of buffering unboundedly.
-///   * A fixed worker pool (`util::Executor`) executes requests; results
-///     arrive through `Ticket::Wait` or, for enumerations, stream
+///     / ApplyDelta) and returns a `Ticket` immediately; a full queue
+///     refuses with kResourceExhausted instead of buffering unboundedly.
+///   * One worker pool (`util::Executor`, with the QoS fair scheduler as
+///     its queue) executes requests for every shard; results arrive
+///     through `Ticket::Wait` or, for enumerations, stream
 ///     member-by-member through a `MemberSink`/`MemberStream` with
 ///     backpressure — bounded memory regardless of family size.
 ///   * Every request carries a deadline (measured from Submit, queue wait
@@ -351,41 +398,62 @@ struct ServiceStats {
 ///     members *and* inside the SAT search, so `Ticket::Cancel` or an
 ///     expired deadline stops a long solve promptly with kCancelled /
 ///     kDeadlineExceeded — without blocking other in-flight requests.
-///   * Writes (`ApplyDelta`) ride the engine's snapshot versioning:
-///     deltas serialise against each other inside the engine while
-///     in-flight reads keep serving the snapshot they started on, so a
-///     submitted delta never waits for (or tears) running enumerations.
+///   * Reads route to the shard owning their target (by predicate, or by
+///     fact-range striping over lockstep replicas — see ShardPolicy); with
+///     one shard routing is the identity.
+///   * Writes (`ApplyDelta`) go through one ordered delta lane: deltas
+///     execute one at a time in admission order, logged to the write-ahead
+///     log first when the engine options name a data_dir. Each delta
+///     reaches only the shards its facts intersect — evaluated once and
+///     adopted by every replica under fact-range — while in-flight reads
+///     keep serving the snapshot they started on, so a delta never waits
+///     for (or tears) running enumerations.
 ///
-/// The engine's direct `EnumerateBatch`/`DecideBatch` calls remain for
-/// offline bulk work, but serving traffic should come through here.
-/// Thread-safe; create once, share freely. Destruction drains admitted
-/// requests (their tickets complete) before joining the workers.
+/// Equivalence guarantee: for any sequence of requests where each delta
+/// is awaited before dependent reads, results are bit-identical for every
+/// shard count and both policies (tests/test_shard.cc holds this across
+/// the scenario generators). Thread-safe; create once, share freely.
+/// Destruction drains admitted requests (their tickets complete) before
+/// joining the workers.
 class Service {
  public:
+  /// Serves `engine` as the only shard, opening (and recovering from) the
+  /// durability tier its options name. Requires `options.num_shards` <= 1
+  /// (asserted in debug builds; `policy` is moot for one shard): replicas
+  /// are built from parsed inputs by Create.
   explicit Service(Engine engine, ServiceOptions options = ServiceOptions());
 
-  /// Serves `engine` on a *caller-owned* worker pool instead of creating
-  /// one: `ShardedService` uses this so N shard services sit behind one
-  /// submission queue and one admission bound, rather than duplicating
-  /// the queue/worker-pool/deadline plumbing per shard. The caller must
-  /// keep the executor alive and drained past this service's destruction
-  /// (the destructor waits for this service's own requests, then leaves
-  /// the pool running). `tenants`/`admission` (optional) share one
-  /// registry and one admission controller across every service on the
-  /// pool, like the parse mutex — null creates private ones.
-  Service(Engine engine, std::shared_ptr<util::Executor> executor,
-          ServiceOptions options = ServiceOptions(),
-          std::shared_ptr<qos::TenantRegistry> tenants = nullptr,
-          std::shared_ptr<qos::AdmissionController> admission = nullptr);
+  /// Builds `options.num_shards` engines from one parsed program/database
+  /// and serves them: every shard evaluates the same parts, so the
+  /// replicas start with identical models and fact-id spaces (the
+  /// bit-identity invariant); the partition lives in the routing and the
+  /// delta fan-out.
+  static util::Result<std::unique_ptr<Service>> Create(
+      const datalog::Program& program, const datalog::Database& database,
+      datalog::PredicateId answer_predicate,
+      ServiceOptions options = ServiceOptions(),
+      EngineOptions engine_options = EngineOptions());
+
+  /// Parses program/database text and resolves the answer predicate (as
+  /// Engine::FromText), then serves like Create.
+  static util::Result<std::unique_ptr<Service>> FromText(
+      std::string_view program_text, std::string_view database_text,
+      std::string_view answer_predicate,
+      ServiceOptions options = ServiceOptions(),
+      EngineOptions engine_options = EngineOptions());
 
   ~Service();
 
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Admits `request`; `sink` (optional) streams Enumerate members and is
-  /// ignored by the other kinds. Refuses with kResourceExhausted when the
-  /// queue is full — the client should back off and retry.
+  /// Admits `request`: reads are routed to their owning shard, writes to
+  /// the ordered delta lane. `sink` (optional) streams Enumerate members;
+  /// the other kinds only call its OnComplete, just before the ticket
+  /// completes. Refuses with kResourceExhausted
+  /// when the queue is full — the client should back off and retry. With
+  /// N >= 2 by-predicate shards, reads must name their target by text
+  /// (fact ids are shard-local there).
   util::Result<Ticket> Submit(Request request,
                               std::shared_ptr<MemberSink> sink = nullptr);
 
@@ -405,22 +473,24 @@ class Service {
       std::vector<EnumerateRequest> requests, std::size_t stream_capacity = 8,
       double deadline_seconds = 0);
 
-  /// Blocking conveniences: submit a whole batch, wait for every ticket,
-  /// and repackage the responses in the engine's batch result shapes.
-  /// Unlike the engine's own batch calls these interleave with any other
-  /// traffic on the service (and respect its admission bound: requests
-  /// are fed as the queue drains rather than rejected).
+  /// Blocking batches: submit every request (fed as the queue drains
+  /// rather than rejected), wait for every ticket, and gather the
+  /// outcomes positionally — stable ordering regardless of which worker
+  /// or shard ran what. They interleave with any other traffic.
   BatchEnumerateResult EnumerateBatch(
       const std::vector<EnumerateRequest>& requests);
   BatchDecideResult DecideBatch(const std::vector<DecideRequest>& requests);
 
-  /// The served engine (views only — route mutations through Submit so
-  /// they order with the queue; direct ApplyDelta calls are still safe,
-  /// just invisible to the service's stats).
-  const Engine& engine() const { return engine_; }
+  /// The reference engine (shard 0) for views and id/answer bookkeeping.
+  /// Under fact-range it is a full replica whose fact ids are valid on
+  /// every shard; under by-predicate with N >= 2 it only holds shard 0's
+  /// slice — use target texts there. Route mutations through Submit.
+  const Engine& engine() const;
 
   ServiceStats stats() const;
-  std::size_t num_threads() const { return executor_->num_threads(); }
+  const ShardMap& shard_map() const { return map_; }
+  std::size_t num_shards() const { return shards_.size(); }
+  std::size_t num_threads() const { return executor_.num_threads(); }
   const ServiceOptions& options() const { return options_; }
 
   /// Durability health: Ok when the engine options carry no data_dir or
@@ -431,55 +501,103 @@ class Service {
   util::Status durability_status() const { return durability_status_; }
 
  private:
-  friend class ShardedService;  ///< drives the shard engines' delta path
+  /// One shard worker: an engine plus the read execution against it.
+  class Shard;
 
-  /// Opens the DurableStore named by the engine options' data_dir (no-op
-  /// when empty) and recovers: restore the checkpoint if one decodes,
-  /// then replay the WAL tail through the normal delta path. Runs in the
-  /// constructor, before any request can be admitted.
+  /// Request counters of one shard's reads (guarded by stats_mutex_).
+  struct ShardCounters {
+    std::uint64_t submitted = 0;
+    std::uint64_t started = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t succeeded = 0;
+  };
+
+  Service(ShardMap map, std::vector<Engine> engines, ServiceOptions options);
+
+  /// The multi-engine half of Create/FromText: builds the shard map over
+  /// `lead`'s program and the replicas from the same parsed inputs.
+  static util::Result<std::unique_ptr<Service>> Replicate(
+      Engine lead, ServiceOptions options);
+
+  /// Opens the DurableStore named by the engine options' data_dir (one
+  /// for all shards; no-op when empty) and recovers: under fact-range,
+  /// restore the checkpoint into every replica, then replay the WAL tail
+  /// through the normal write path; under by-predicate, replay the full
+  /// log (no checkpoints — shard models diverge, so no single engine
+  /// holds "the" state). Runs in the constructor, before serving starts.
   void OpenDurability();
 
-  /// The write path: logs the delta to the WAL (when durable) before
-  /// applying it to the engine, holding the store's order mutex across
-  /// {append -> apply -> checkpoint} so log order equals apply order
-  /// even with deltas on arbitrary worker threads.
-  util::Result<DeltaStats> ExecuteDelta(const DeltaRequest& request);
+  /// Picks the owning shard for a read request, canonicalising the target
+  /// (under fact-range, text targets are resolved to portable fact ids on
+  /// the reference replica so the owner never re-parses). Routing errors
+  /// that a single engine would also report (unparsable/unknown targets)
+  /// are left for the owning shard to surface through the ticket.
+  util::Result<std::size_t> RouteRead(Request& request) const;
 
-  /// Writes a snapshot checkpoint when enough WAL records accumulated
-  /// (caller holds the store's order mutex).
-  void MaybeCheckpoint();
+  /// The fan-out decision of the write path: normalises text facts into
+  /// the fact vectors (by-predicate needs every fact's predicate) and
+  /// returns the shards whose partition the delta intersects, including
+  /// shard 0 for orphaned predicates. Shared by admission and recovery
+  /// replay, so a replayed delta fans out exactly like the original.
+  util::Result<std::vector<std::size_t>> DeltaTargets(DeltaRequest& delta);
 
-  /// Prices `request` for scheduling and admission: queries peek the
-  /// plan cache (a cached plan prices near the floor), deltas price by
-  /// touched facts. Never compiles anything.
-  double EstimateCost(const Request& request) const;
+  /// Parses a delta's text-form facts into its fact vectors (one parse at
+  /// the router instead of one per shard); fails exactly like the
+  /// engine's own delta parsing would.
+  util::Status ParseDeltaTexts(DeltaRequest& delta);
 
-  void Execute(const std::shared_ptr<Ticket::State>& state);
+  /// The facts of `delta` whose predicate `shard`'s partition covers;
+  /// with `take_orphans`, also the facts no shard's partition covers
+  /// (predicates outside every dependency closure land on shard 0, which
+  /// is also where predicate routing defaults — read-your-writes holds).
+  DeltaRequest SplitDeltaFor(std::size_t shard, const DeltaRequest& delta,
+                             bool take_orphans) const;
+
+  /// True iff some shard's partition covers `predicate`.
+  bool CoveredByAnyShard(datalog::PredicateId predicate) const;
+
+  /// Enqueues `task` on the delta lane (bounded by the queue capacity —
+  /// admission control for the write path too), submitting a drain task
+  /// under `tag` when none is running.
+  util::Status EnqueueDelta(std::function<void()> task,
+                            const util::TaskTag& tag);
+
+  /// Runs lane tasks one at a time until the lane is empty.
+  void DrainDeltaLane();
+
+  /// The lane task: WAL append (when durable) + apply, then — when no
+  /// delta waits behind it — the group-commit fsync, then Finish.
+  void ExecuteDelta(const std::shared_ptr<Ticket::State>& state,
+                    const std::vector<std::size_t>& targets);
+
+  /// WAL append -> ApplyToTargets -> checkpoint under the store's order
+  /// mutex (just ApplyToTargets when no store is open).
+  util::Result<DeltaStats> LogAndApply(const DeltaRequest& delta,
+                                       const std::vector<std::size_t>& targets);
+
+  /// The apply core: evaluate-once/adopt-everywhere (fact-range) or
+  /// split-and-apply per intersecting shard (by-predicate). Shared by
+  /// the lane and recovery replay.
+  util::Result<DeltaStats> ApplyToTargets(
+      const DeltaRequest& delta, const std::vector<std::size_t>& targets);
+
+  /// The single terminal point of every admitted request: refunds the
+  /// admission charge, records the tenant completion, counts the outcome,
+  /// and completes the ticket.
   void Finish(const std::shared_ptr<Ticket::State>& state,
               Response response);
-  void ExecuteEnumerate(const std::shared_ptr<Ticket::State>& state,
-                        Response& response);
-  /// Cache-through Prepare for a request's (target, acyclicity): pins the
-  /// snapshot the execution serves, so Response::model_version is exact.
-  util::Result<PreparedQuery> PrepareFor(
-      datalog::FactId target, const std::string& target_text,
-      std::optional<provenance::AcyclicityEncoding> acyclicity) const;
 
-  Engine engine_;
-  /// The durability tier (null = memory-only). Opened from the engine
-  /// options' data_dir by the owning constructor; a shard service inside
-  /// a ShardedService sees a cleared data_dir (the group shares one
-  /// store) and opens nothing. Declared before the executor so workers
-  /// never outlive it.
-  std::unique_ptr<storage::DurableStore> store_;
-  util::Status durability_status_;  ///< set once in OpenDurability
-  /// Group commit is active (wal_fsync + wal_group_commit, store open):
-  /// WAL appends defer their fsync and the last pending delta of a
-  /// burst flushes it (see delta_backlog_).
-  bool wal_group_commit_ = false;
-  /// Admitted-but-unfinished delta requests; the finish that drops it
-  /// to zero is the burst boundary that syncs the WAL.
-  std::atomic<std::uint64_t> delta_backlog_{0};
+  /// Submits every request, riding out kResourceExhausted by waiting on
+  /// the oldest outstanding ticket (draining the queue frees a slot).
+  /// Tickets are positional; a request refused for any other reason
+  /// leaves an invalid ticket and its status in `refused`.
+  std::vector<Ticket> SubmitAll(const std::vector<Request>& requests,
+                                std::vector<util::Status>& refused);
+
+  /// Plan-cache counters summed across the shards.
+  PlanCacheStats AggregatePlanCacheStats() const;
+
+  ShardMap map_;
   ServiceOptions options_;
   util::Timer uptime_;  ///< denominator of queries_per_second
   mutable util::Mutex stats_mutex_;
@@ -487,21 +605,27 @@ class Service {
   /// Requests whose execution began.
   std::uint64_t started_ GUARDED_BY(stats_mutex_) = 0;
   std::uint64_t next_id_ GUARDED_BY(stats_mutex_) = 0;
-  /// Counts this service's requests living in the executor (queued or
-  /// executing); a shared-pool service must drain to zero before dying.
-  mutable util::Mutex outstanding_mutex_;
-  util::CondVar outstanding_cv_;
-  std::size_t outstanding_ GUARDED_BY(outstanding_mutex_) = 0;
-  /// QoS: per-(tenant, lane) observability and cost-based admission.
-  /// Shared across a ShardedService's shard services; private otherwise.
-  std::shared_ptr<qos::TenantRegistry> tenants_;
-  std::shared_ptr<qos::AdmissionController> admission_;
-  const bool owns_executor_;
-  /// Declared last: workers touch everything above, so an owned executor
-  /// must be destroyed (drained + joined) first. A shared executor
-  /// outlives this service; the destructor only drains this service's
-  /// own outstanding requests.
-  std::shared_ptr<util::Executor> executor_;
+  std::vector<ShardCounters> shard_counters_ GUARDED_BY(stats_mutex_);
+
+  // The ordered delta lane: tasks run FIFO on the executor, one at a
+  // time — every shard observes the same write order (lockstep for
+  // replicas) while each delta only touches its target shards' engines.
+  mutable util::Mutex lane_mutex_;
+  std::deque<std::function<void()>> lane_ GUARDED_BY(lane_mutex_);
+  bool lane_draining_ GUARDED_BY(lane_mutex_) = false;
+
+  /// QoS: per-(tenant, lane) observability and cost-based admission, one
+  /// of each for the whole service.
+  qos::TenantRegistry tenants_;
+  qos::AdmissionController admission_;
+
+  std::vector<std::unique_ptr<Shard>> shards_;
+  /// The durability tier (null = memory-only), one for all shards.
+  std::unique_ptr<storage::DurableStore> store_;
+  util::Status durability_status_;  ///< set once in OpenDurability
+  /// Declared last: workers touch everything above, so the pool must be
+  /// drained and joined first.
+  util::Executor executor_;
 };
 
 }  // namespace whyprov

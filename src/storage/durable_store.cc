@@ -105,7 +105,10 @@ util::Status DurableStore::AppendDelta(
 util::Status DurableStore::SyncWal() {
   if (!group_commit_) return util::Status::Ok();
   const util::MutexLock order(order_mutex_);
-  return wal_.Sync();
+  if (!wal_.dirty()) return util::Status::Ok();
+  if (util::Status synced = wal_.Sync(); !synced.ok()) return synced;
+  wal_syncs_.fetch_add(1, std::memory_order_relaxed);
+  return util::Status::Ok();
 }
 
 bool DurableStore::ShouldCheckpoint() const {
@@ -140,6 +143,7 @@ DurabilityCounters DurableStore::counters() const {
       checkpoints_written_.load(std::memory_order_relaxed);
   counters.recovery_replayed_deltas =
       recovery_replayed_.load(std::memory_order_relaxed);
+  counters.wal_syncs = wal_syncs_.load(std::memory_order_relaxed);
   return counters;
 }
 

@@ -9,17 +9,14 @@
 //   model.ckpt  — the latest checkpoint (storage/checkpoint.h),
 //                 replaced atomically by temp-file + rename
 //
-// Ownership: exactly one serving stack opens a store. A standalone
-// Service opens it from its engine's options; a ShardedService owns
-// one store for the whole group (its inner per-shard Services see a
-// cleared data_dir and open nothing).
+// Ownership: exactly one serving stack opens a store. A Service opens
+// it from its engine options' data_dir — one store for all its shards.
 //
 // Ordering: WAL append order must equal engine apply order, or replay
-// diverges. The single (unsharded) Service executes deltas on
-// arbitrary worker threads, so the store exposes `order_mutex()` and
-// the owner holds it across {AppendDelta -> engine apply ->
-// MaybeWriteCheckpoint}. The sharded delta lane is already a single
-// serialization point but takes the same lock for uniformity.
+// diverges. The Service's ordered delta lane is the single
+// serialization point of writes; the owner also holds `order_mutex()`
+// across {AppendDelta -> engine apply -> checkpoint} so group-commit
+// syncs never interleave with that window.
 
 #include <atomic>
 #include <cstdint>
@@ -44,10 +41,11 @@ struct DurabilityOptions {
   /// just process crash, at a large per-delta cost.
   bool wal_fsync = false;
   /// Group commit (with wal_fsync only): appends defer the fsync and
-  /// the owner calls SyncWal() when its delta lane drains, so a burst
-  /// of N deltas pays one fsync instead of N. Relaxation: a delta in
-  /// the middle of a burst is acknowledged applied-but-not-yet-synced;
-  /// it becomes power-loss durable at the burst boundary.
+  /// the owner calls SyncWal() before acknowledging the delta that
+  /// leaves its delta lane empty, so a burst of N deltas pays one fsync
+  /// instead of N. Relaxation: a delta in the middle of a burst is
+  /// acknowledged applied-but-not-yet-synced; it becomes power-loss
+  /// durable at the burst boundary.
   bool wal_group_commit = false;
   /// Committed WAL records between checkpoints; 0 = never checkpoint
   /// (recovery replays the full log).
@@ -61,6 +59,7 @@ struct DurabilityCounters {
   std::uint64_t wal_bytes = 0;         ///< framed bytes appended
   std::uint64_t checkpoints_written = 0;
   std::uint64_t recovery_replayed_deltas = 0;  ///< WAL tail replayed at open
+  std::uint64_t wal_syncs = 0;  ///< group-commit fsyncs of deferred appends
 };
 
 class DurableStore {
@@ -135,6 +134,7 @@ class DurableStore {
   std::atomic<std::uint64_t> wal_bytes_{0};
   std::atomic<std::uint64_t> checkpoints_written_{0};
   std::atomic<std::uint64_t> recovery_replayed_{0};
+  std::atomic<std::uint64_t> wal_syncs_{0};
 };
 
 }  // namespace whyprov::storage

@@ -15,19 +15,17 @@
 /// See README.md for a quickstart and the backend-registration recipe.
 
 // The serving front door: Service (submission-based async API with
-// admission control), Ticket, streaming MemberSink/MemberStream, and the
-// unified Request/Response pair with deadlines and cancellation.
+// admission control, over N >= 1 shard engines), Ticket, streaming
+// MemberSink/MemberStream, the unified Request/Response pair with
+// deadlines and cancellation, and the ShardMap partitioning policies
+// (by-predicate with dependency-closure delta fan-out, fact-range over
+// lockstep replicas).
 #include "service/service.h"
-
-// Sharded serving: ShardMap partitioning policies (by-predicate with
-// dependency-closure delta fan-out, fact-range over lockstep replicas)
-// and ShardedService — N engines behind the Service API unchanged.
 #include "shard/shard_map.h"
-#include "shard/sharded_service.h"
 
 // The facade: Engine, EngineOptions, the request/response structs, the
-// Enumeration handle, PreparedQuery (compile-once/execute-many plans), the
-// plan cache, and the batch serving API.
+// Enumeration handle, PreparedQuery (compile-once/execute-many plans), and
+// the plan cache.
 #include "engine/engine.h"
 #include "engine/plan_cache.h"
 

@@ -338,7 +338,7 @@ TEST(CApiDeltaTest, DeltaAdvancesTheVersionAndReportsStats) {
 
 // --- the sharded configuration --------------------------------------------
 
-TEST(CApiShardedTest, NumShardsServesAShardedServiceBehindTheSameAbi) {
+TEST(CApiShardedTest, NumShardsServesShardsBehindTheSameAbi) {
   whyprov_options options;
   whyprov_options_init(&options);
   options.num_shards = 2;

@@ -1,7 +1,7 @@
 // Tests of the `whyprov::Engine` facade: construction error paths, the
 // Enumeration handle (caps, exhaustion, iteration), SAT backend selection
 // via the SolverFactory, the prepare/execute split (PreparedQuery, plan
-// cache, batch serving, multi-threaded request hammering), and
+// cache, multi-threaded request hammering), and
 // cross-checks against the expectations of test_enumerator.cc.
 
 #include <atomic>
@@ -606,70 +606,6 @@ TEST(EngineConcurrencyTest, OnePreparedPlanManyThreads) {
     });
   }
   for (std::thread& thread : threads) thread.join();
-}
-
-// --- Batch serving --------------------------------------------------------
-
-TEST(EngineBatchTest, EnumerateBatchMatchesSequentialResults) {
-  const ConcurrencyWorkload workload(/*plan_cache_capacity=*/64);
-  const Engine& engine = *workload.engine;
-  // Repeat every target several times and add one unresolvable request.
-  std::vector<EnumerateRequest> requests;
-  for (int round = 0; round < 4; ++round) {
-    for (dl::FactId target : workload.targets) {
-      EnumerateRequest request;
-      request.target = target;
-      requests.push_back(request);
-    }
-  }
-  EnumerateRequest bad;
-  bad.target_text = "nosuchfact(x, y)";
-  requests.push_back(bad);
-
-  const BatchEnumerateResult result = engine.EnumerateBatch(requests);
-  ASSERT_EQ(result.outcomes.size(), requests.size());
-  for (std::size_t i = 0; i + 1 < requests.size(); ++i) {
-    ASSERT_TRUE(result.outcomes[i].status.ok())
-        << result.outcomes[i].status.message();
-    EXPECT_TRUE(result.outcomes[i].exhausted);
-    pv::ProvenanceFamily family(result.outcomes[i].members.begin(),
-                                result.outcomes[i].members.end());
-    EXPECT_EQ(family, workload.expected[i % workload.targets.size()]);
-  }
-  EXPECT_FALSE(result.outcomes.back().status.ok());
-  EXPECT_EQ(result.stats.requests, requests.size());
-  EXPECT_EQ(result.stats.succeeded, requests.size() - 1);
-  EXPECT_EQ(result.stats.failed, 1u);
-  EXPECT_GT(result.stats.members_emitted, 0u);
-  EXPECT_GT(result.stats.queries_per_second, 0.0);
-  // The batch revisits each target 4 times: the plan cache must serve the
-  // repeats (the warm-up already compiled every target).
-  EXPECT_GT(result.stats.plan_cache_hits, 0u);
-  EXPECT_EQ(result.stats.plan_cache_misses, 0u);
-}
-
-TEST(EngineBatchTest, DecideBatchAgreesWithDecide) {
-  const ConcurrencyWorkload workload(/*plan_cache_capacity=*/64);
-  const Engine& engine = *workload.engine;
-  std::vector<DecideRequest> requests;
-  for (std::size_t i = 0; i < workload.targets.size(); ++i) {
-    DecideRequest in_family;
-    in_family.target = workload.targets[i];
-    in_family.candidate = *workload.expected[i].begin();
-    requests.push_back(in_family);
-    DecideRequest not_in_family;
-    not_in_family.target = workload.targets[i];
-    not_in_family.candidate = {};  // the empty set never supports a proof
-    requests.push_back(not_in_family);
-  }
-  const BatchDecideResult result = engine.DecideBatch(requests);
-  ASSERT_EQ(result.outcomes.size(), requests.size());
-  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-    ASSERT_TRUE(result.outcomes[i].status.ok());
-    EXPECT_EQ(result.outcomes[i].member, i % 2 == 0) << "request " << i;
-  }
-  EXPECT_EQ(result.stats.succeeded, requests.size());
-  EXPECT_EQ(result.stats.failed, 0u);
 }
 
 // --- Decide / Baseline / Explain -----------------------------------------

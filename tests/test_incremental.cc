@@ -322,6 +322,68 @@ TEST(ApplyDeltaScenarioTest, Csda) {
                                 /*num_removed=*/4);
 }
 
+// --- the carried database fact count -------------------------------------
+
+/// Engine::database_size() is carried forward by each delta instead of
+/// counted off the materialised view; it must equal that view's size at
+/// every version of a delta chain — applied directly, adopted by clone and
+/// by move, and restored from a recovered model.
+void CheckDatabaseSizeAcrossDeltas(
+    const scenarios::GeneratedScenario& scenario) {
+  Engine engine = scenario.MakeEngine();
+  Engine replica = scenario.MakeEngine();
+  Engine last_replica = scenario.MakeEngine();
+  const auto expect_exact = [&](const Engine& e, const std::string& step) {
+    EXPECT_EQ(e.database_size(), e.database().facts().size())
+        << scenario.scenario_name << " after " << step;
+  };
+  expect_exact(engine, "build");
+
+  const auto& facts = scenario.database.facts();
+  ASSERT_GE(facts.size(), 4u);
+  const std::vector<dl::Fact> slice = {facts[0], facts[facts.size() / 2]};
+  DeltaRequest remove;
+  remove.removed_facts = slice;
+  DeltaRequest restore;
+  restore.added_facts = slice;
+  DeltaRequest swap;  // one removal, one re-addition, one no-op addition
+  swap.removed_facts = {facts[facts.size() / 3]};
+  swap.added_facts = {facts[0], facts[1]};
+  for (const auto& [name, delta] :
+       {std::pair<std::string, DeltaRequest>{"remove", remove},
+        {"swap", swap},
+        {"restore", restore}}) {
+    auto applied = engine.ApplyDelta(delta);
+    ASSERT_TRUE(applied.ok()) << applied.status().message();
+    expect_exact(engine, name);
+
+    auto evaluated = replica.EvaluateDelta(delta);
+    ASSERT_TRUE(evaluated.ok()) << evaluated.status().message();
+    ASSERT_TRUE(replica.AdoptDelta(evaluated.value()).ok());
+    ASSERT_TRUE(last_replica.AdoptDelta(std::move(evaluated).value()).ok());
+    expect_exact(replica, name + " (adopted clone)");
+    expect_exact(last_replica, name + " (adopted move)");
+    EXPECT_EQ(replica.database_size(), engine.database_size());
+    EXPECT_EQ(last_replica.database_size(), engine.database_size());
+  }
+
+  const std::shared_ptr<const EngineState> state = engine.PinSnapshot();
+  replica.AdoptRecovered(state->model.Clone(), state->model_version);
+  expect_exact(replica, "recovery");
+  EXPECT_EQ(replica.database_size(), engine.database_size());
+}
+
+TEST(DatabaseSizeTest, MatchesTheViewAcrossDeltaChains) {
+  CheckDatabaseSizeAcrossDeltas(scenarios::MakeTransClosure(
+      scenarios::GraphKind::kSparse, 40, 60, 20240611));
+  CheckDatabaseSizeAcrossDeltas(scenarios::MakeTransClosure(
+      scenarios::GraphKind::kSocial, 16, 24, 20240611));
+  CheckDatabaseSizeAcrossDeltas(scenarios::MakeDoctors(1, 100, 20240611));
+  CheckDatabaseSizeAcrossDeltas(scenarios::MakeAndersen(100, 20240611));
+  CheckDatabaseSizeAcrossDeltas(scenarios::MakeGalen(20, 20240611));
+  CheckDatabaseSizeAcrossDeltas(scenarios::MakeCsda("httpd", 200, 20240611));
+}
+
 // --- Engine::ApplyDelta: API semantics -----------------------------------
 
 TEST(ApplyDeltaTest, TextFactsAndStats) {
@@ -541,8 +603,11 @@ TEST(ApplyDeltaSnapshotTest, ConcurrentReadersAndWriter) {
         request.target = target;
         auto live = e.Enumerate(request);
         ASSERT_TRUE(live.ok());
+        // Pinned: a bare e.model() view dies with the snapshot the
+        // writer retires.
+        const std::shared_ptr<const EngineState> state = e.PinSnapshot();
         const auto live_family =
-            FamilyToStrings(Drain(live.value()), e.model().symbols());
+            FamilyToStrings(Drain(live.value()), state->model.symbols());
         EXPECT_TRUE(live_family == both || live_family == only_a)
             << "torn family of size " << live_family.size();
         EXPECT_FALSE(e.FactToText(target).empty());

@@ -484,7 +484,7 @@ TEST(NetServerTest, FullVerbSurfaceOverOneConnection) {
   EXPECT_EQ(stats.value().num_shards, 1u);
 }
 
-TEST(NetServerTest, ShardedServiceServesTheSameWire) {
+TEST(NetServerTest, ShardedStackServesTheSameWire) {
   whyprov_options options;
   whyprov_options_init(&options);
   options.num_shards = 2;

@@ -301,11 +301,11 @@ TEST(ServiceQosTest, DefaultClassRequestsMatchFifoServiceResults) {
 // --- sharded: fair dequeue through a shared pool -------------------------
 
 TEST(ShardedQosTest, SharedPoolServesEveryShardAndSnapshotsOnce) {
-  ShardedServiceOptions options;
+  ServiceOptions options;
   options.num_shards = 2;
-  options.service.num_threads = 2;
-  auto sharded = ShardedService::FromText(
-      kDiamondProgram, kDiamondDatabase, "path", options);
+  options.num_threads = 2;
+  auto sharded =
+      Service::FromText(kDiamondProgram, kDiamondDatabase, "path", options);
   ASSERT_TRUE(sharded.ok()) << sharded.status().message();
 
   std::vector<Ticket> tickets;

@@ -3,7 +3,10 @@
 // control (kResourceExhausted), deadlines (kDeadlineExceeded), and
 // cooperative cancellation (kCancelled) — including mid-enumeration
 // cancels that must release their snapshot without blocking other
-// in-flight requests. The CI runs this binary under ThreadSanitizer.
+// in-flight requests. The cancel, deadline, admission, snapshot, and
+// shutdown behaviours run on every serving stack (1, 2, and 4 shards under
+// both partition policies). The CI runs this binary under
+// ThreadSanitizer.
 
 #include <atomic>
 #include <memory>
@@ -200,10 +203,29 @@ TEST(ServiceStreamTest, ConsumerCloseCancelsTheRequest) {
   EXPECT_FALSE(stream->Pop().has_value());
 }
 
+// --- the serving stacks -------------------------------------------------
+
+/// The behaviours below hold on every stack the diamond program supports
+/// — one shard, and 2 or 4 fact-range replicas. Tickets, queue, and
+/// lane are the Service's whatever the shard count.
+class ServingTest : public ::testing::TestWithParam<testing::Stack> {
+ protected:
+  std::unique_ptr<Service> Diamond(
+      ServiceOptions options = ServiceOptions(),
+      EngineOptions engine_options = EngineOptions()) {
+    return testing::Serve(GetParam(), kDiamondProgram, kDiamondDatabase,
+                          "path", options, engine_options);
+  }
+};
+
 // --- cancellation --------------------------------------------------------
 
-TEST(ServiceCancelTest, CancelMidEnumerationReportsCancelledAndReleases) {
-  Service service(MakeEngine(kDiamondProgram, kDiamondDatabase, "path"));
+using ServiceCancelTest = ServingTest;
+
+TEST_P(ServiceCancelTest, CancelMidEnumerationReportsCancelledAndReleases) {
+  auto served = Diamond();
+  ASSERT_NE(served, nullptr);
+  Service& service = *served;
   EnumerateRequest enumerate;
   enumerate.target_text = "path(a, b)";
   auto streamed = service.Stream(std::move(enumerate), /*stream_capacity=*/1);
@@ -238,12 +260,13 @@ TEST(ServiceCancelTest, CancelMidEnumerationReportsCancelledAndReleases) {
   EXPECT_GE(stats.succeeded, 2u);
 }
 
-TEST(ServiceCancelTest, CancelBeforeExecutionNeverTouchesTheEngine) {
+TEST_P(ServiceCancelTest, CancelBeforeExecutionNeverTouchesTheEngine) {
   ServiceOptions options;
   options.num_threads = 1;
   options.queue_capacity = 4;
-  Service service(MakeEngine(kDiamondProgram, kDiamondDatabase, "path"),
-                  options);
+  auto served = Diamond(options);
+  ASSERT_NE(served, nullptr);
+  Service& service = *served;
   // Block the single worker on a full stream...
   EnumerateRequest blocker;
   blocker.target_text = "path(a, b)";
@@ -263,12 +286,15 @@ TEST(ServiceCancelTest, CancelBeforeExecutionNeverTouchesTheEngine) {
 
 // --- deadlines -----------------------------------------------------------
 
-TEST(ServiceDeadlineTest, DeadlineExpiredInQueueIsDeadlineExceeded) {
+using ServiceDeadlineTest = ServingTest;
+
+TEST_P(ServiceDeadlineTest, DeadlineExpiredInQueueIsDeadlineExceeded) {
   ServiceOptions options;
   options.num_threads = 1;
   options.queue_capacity = 4;
-  Service service(MakeEngine(kDiamondProgram, kDiamondDatabase, "path"),
-                  options);
+  auto served = Diamond(options);
+  ASSERT_NE(served, nullptr);
+  Service& service = *served;
   EnumerateRequest blocker;
   blocker.target_text = "path(a, b)";
   auto streamed = service.Stream(std::move(blocker), /*stream_capacity=*/1);
@@ -349,12 +375,15 @@ TEST(EnumerationTokenTest, DecideHonoursCancelledToken) {
 
 // --- admission control ---------------------------------------------------
 
-TEST(ServiceAdmissionTest, FullQueueRejectsWithResourceExhausted) {
+using ServiceAdmissionTest = ServingTest;
+
+TEST_P(ServiceAdmissionTest, FullQueueRejectsWithResourceExhausted) {
   ServiceOptions options;
   options.num_threads = 1;
   options.queue_capacity = 1;
-  Service service(MakeEngine(kDiamondProgram, kDiamondDatabase, "path"),
-                  options);
+  auto served = Diamond(options);
+  ASSERT_NE(served, nullptr);
+  Service& service = *served;
   // Occupy the worker (blocked on its full stream)...
   EnumerateRequest blocker;
   blocker.target_text = "path(a, b)";
@@ -380,11 +409,14 @@ TEST(ServiceAdmissionTest, FullQueueRejectsWithResourceExhausted) {
 
 // --- snapshots across writes ---------------------------------------------
 
-TEST(ServiceSnapshotTest, InFlightTicketKeepsItsSnapshotAcrossDelta) {
+using ServiceSnapshotTest = ServingTest;
+
+TEST_P(ServiceSnapshotTest, InFlightTicketKeepsItsSnapshotAcrossDelta) {
   ServiceOptions options;
   options.num_threads = 2;  // the delta must run beside the enumeration
-  Service service(MakeEngine(kDiamondProgram, kDiamondDatabase, "path"),
-                  options);
+  auto served = Diamond(options);
+  ASSERT_NE(served, nullptr);
+  Service& service = *served;
   EnumerateRequest enumerate;
   enumerate.target_text = "path(a, b)";
   auto streamed = service.Stream(std::move(enumerate), /*stream_capacity=*/1);
@@ -417,15 +449,14 @@ TEST(ServiceSnapshotTest, InFlightTicketKeepsItsSnapshotAcrossDelta) {
   EXPECT_EQ(after.value().Wait().members_emitted, kDiamondMembers - 2);
 }
 
-TEST(ServiceSnapshotTest, MaxSnapshotLagEvictsTrailingEnumeration) {
+TEST_P(ServiceSnapshotTest, MaxSnapshotLagEvictsTrailingEnumeration) {
   EngineOptions engine_options;
   engine_options.max_snapshot_lag = 1;
-  auto engine = Engine::FromText(kDiamondProgram, kDiamondDatabase, "path",
-                                 engine_options);
-  ASSERT_TRUE(engine.ok());
   ServiceOptions options;
   options.num_threads = 2;  // the deltas must run beside the enumeration
-  Service service(std::move(engine).value(), options);
+  auto served = Diamond(options, engine_options);
+  ASSERT_NE(served, nullptr);
+  Service& service = *served;
 
   EnumerateRequest enumerate;
   enumerate.target_text = "path(a, b)";
@@ -457,7 +488,48 @@ TEST(ServiceSnapshotTest, MaxSnapshotLagEvictsTrailingEnumeration) {
   EXPECT_EQ(service.stats().snapshot_evictions, 1u);
 }
 
-TEST(ServiceSnapshotTest, SnapshotAlarmTracksTheRetainedBytesThreshold) {
+// --- write ordering ------------------------------------------------------
+
+TEST(ServiceOrderingTest, DeltaJoiningAScheduledDrainOvertakesAnEarlierRead) {
+  ServiceOptions options;
+  options.num_threads = 1;
+  options.queue_capacity = 4;
+  Service service(MakeEngine(kDiamondProgram, kDiamondDatabase, "path"),
+                  options);
+  // Park the single worker on a full stream so the submissions below
+  // queue in a known order.
+  EnumerateRequest blocker;
+  blocker.target_text = "path(a, b)";
+  auto streamed = service.Stream(std::move(blocker), /*stream_capacity=*/1);
+  ASSERT_TRUE(streamed.ok());
+  auto [blocker_ticket, blocker_stream] = std::move(streamed).value();
+  const auto remove = [&service](const char* fact) {
+    DeltaRequest delta;
+    delta.removed_fact_texts = {fact};
+    Request request;
+    request.op = std::move(delta);
+    return service.Submit(std::move(request));
+  };
+  // Admission order D1, R, D2: D1 schedules the lane's drain, R queues
+  // behind that drain, and D2 joins the drain rather than queueing
+  // behind R.
+  auto first = remove("edge(a, m1)");
+  ASSERT_TRUE(first.ok());
+  auto read = service.Submit(EnumerateOp("path(a, b)"));
+  ASSERT_TRUE(read.ok());
+  auto second = remove("edge(a, m2)");
+  ASSERT_TRUE(second.ok());
+  blocker_stream->Close();
+  EXPECT_EQ(first.value().Wait().model_version, 1u);
+  EXPECT_EQ(second.value().Wait().model_version, 2u);
+  const Response& response = read.value().Wait();
+  ASSERT_TRUE(response.status.ok()) << response.status.message();
+  EXPECT_EQ(response.model_version, 2u);
+  EXPECT_EQ(response.members_emitted, kDiamondMembers - 2);
+  blocker_ticket.Wait();
+}
+
+TEST(ServiceStatsTest, SnapshotAlarmTracksTheRetainedBytesThreshold) {
   // Threshold 1 byte: the always-retained current model already exceeds
   // it, so the alarm is up from the start.
   EngineOptions tight;
@@ -598,13 +670,12 @@ TEST(ServiceStatsTest, ReportsThroughputVersionAndSnapshotRetention) {
 
 // --- blocking batch conveniences -----------------------------------------
 
-TEST(ServiceBatchTest, EnumerateBatchMatchesEngineBatch) {
+TEST(ServiceBatchTest, EnumerateBatchMatchesSequentialEnumerates) {
   Engine engine = MakeEngine(kExample1Program, kExample4Database, "a");
   std::vector<EnumerateRequest> requests(3);
   requests[0].target_text = "a(d)";
   requests[1].target_text = "a(c)";
   requests[2].target_text = "a(nonexistent)";
-  const BatchEnumerateResult direct = engine.EnumerateBatch(requests);
 
   ServiceOptions options;
   options.num_threads = 2;
@@ -613,18 +684,25 @@ TEST(ServiceBatchTest, EnumerateBatchMatchesEngineBatch) {
                   options);
   const BatchEnumerateResult served = service.EnumerateBatch(requests);
 
-  ASSERT_EQ(served.outcomes.size(), direct.outcomes.size());
-  for (std::size_t i = 0; i < served.outcomes.size(); ++i) {
-    EXPECT_EQ(served.outcomes[i].status.ok(), direct.outcomes[i].status.ok());
-    EXPECT_EQ(served.outcomes[i].members.size(),
-              direct.outcomes[i].members.size());
+  // The positional gather equals the sequential per-request results.
+  ASSERT_EQ(served.outcomes.size(), requests.size());
+  std::size_t succeeded = 0;
+  std::size_t members = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    auto direct = engine.Enumerate(requests[i]);
+    EXPECT_EQ(served.outcomes[i].status.ok(), direct.ok());
+    if (!direct.ok()) continue;
+    const auto direct_members = direct.value().All();
+    EXPECT_EQ(served.outcomes[i].members, direct_members);
+    ++succeeded;
+    members += direct_members.size();
   }
-  EXPECT_EQ(served.stats.succeeded, direct.stats.succeeded);
-  EXPECT_EQ(served.stats.failed, direct.stats.failed);
-  EXPECT_EQ(served.stats.members_emitted, direct.stats.members_emitted);
+  EXPECT_EQ(served.stats.succeeded, succeeded);
+  EXPECT_EQ(served.stats.failed, requests.size() - succeeded);
+  EXPECT_EQ(served.stats.members_emitted, members);
 }
 
-TEST(ServiceBatchTest, DecideBatchMatchesEngineBatch) {
+TEST(ServiceBatchTest, DecideBatchMatchesSequentialDecides) {
   Engine engine = MakeEngine(kExample1Program, kExample1Database, "a");
   std::vector<DecideRequest> requests(2);
   requests[0].target_text = "a(d)";
@@ -632,27 +710,31 @@ TEST(ServiceBatchTest, DecideBatchMatchesEngineBatch) {
                            engine.database().facts()[3]};
   requests[1].target_text = "a(d)";
   requests[1].candidate = {engine.database().facts()[0]};
-  const BatchDecideResult direct = engine.DecideBatch(requests);
 
   Service service(MakeEngine(kExample1Program, kExample1Database, "a"));
   const BatchDecideResult served = service.DecideBatch(requests);
   ASSERT_EQ(served.outcomes.size(), 2u);
   EXPECT_TRUE(served.outcomes[0].status.ok());
-  EXPECT_EQ(served.outcomes[0].member, direct.outcomes[0].member);
-  EXPECT_EQ(served.outcomes[1].member, direct.outcomes[1].member);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    auto direct = engine.Decide(requests[i]);
+    ASSERT_TRUE(direct.ok()) << direct.status().message();
+    EXPECT_EQ(served.outcomes[i].member, direct.value()) << "request " << i;
+  }
 }
 
 // --- shutdown ------------------------------------------------------------
 
-TEST(ServiceShutdownTest, DestructionDrainsAdmittedRequests) {
+using ServiceShutdownTest = ServingTest;
+
+TEST_P(ServiceShutdownTest, DestructionDrainsAdmittedRequests) {
   std::vector<Ticket> tickets;
   {
     ServiceOptions options;
     options.num_threads = 1;
-    Service service(MakeEngine(kDiamondProgram, kDiamondDatabase, "path"),
-                    options);
+    auto served = Diamond(options);
+    ASSERT_NE(served, nullptr);
     for (int i = 0; i < 6; ++i) {
-      auto ticket = service.Submit(EnumerateOp("path(a, b)"));
+      auto ticket = served->Submit(EnumerateOp("path(a, b)"));
       ASSERT_TRUE(ticket.ok());
       tickets.push_back(std::move(ticket).value());
     }
@@ -663,6 +745,25 @@ TEST(ServiceShutdownTest, DestructionDrainsAdmittedRequests) {
     EXPECT_TRUE(ticket.Wait().status.ok());
   }
 }
+
+const std::vector<testing::Stack> kDiamondStacks =
+    testing::StacksFor(kDiamondProgram);
+
+INSTANTIATE_TEST_SUITE_P(Stacks, ServiceCancelTest,
+                         ::testing::ValuesIn(kDiamondStacks),
+                         testing::StackName);
+INSTANTIATE_TEST_SUITE_P(Stacks, ServiceDeadlineTest,
+                         ::testing::ValuesIn(kDiamondStacks),
+                         testing::StackName);
+INSTANTIATE_TEST_SUITE_P(Stacks, ServiceAdmissionTest,
+                         ::testing::ValuesIn(kDiamondStacks),
+                         testing::StackName);
+INSTANTIATE_TEST_SUITE_P(Stacks, ServiceSnapshotTest,
+                         ::testing::ValuesIn(kDiamondStacks),
+                         testing::StackName);
+INSTANTIATE_TEST_SUITE_P(Stacks, ServiceShutdownTest,
+                         ::testing::ValuesIn(kDiamondStacks),
+                         testing::StackName);
 
 }  // namespace
 }  // namespace whyprov

@@ -1,9 +1,9 @@
-// Tests of the sharded serving layer: ShardMap policies (by-predicate
-// partitioning with dependency-closure delta fan-out, fact-range striping
-// over lockstep replicas), the ShardedService router, and — the core
-// contract — bit-identical results: the same scenario served with 1, 2,
-// and 4 shards must produce exactly the enumeration/decision/explain
-// transcript of one unsharded engine, including across interleaved
+// Tests of sharded serving: ShardMap policies (by-predicate partitioning
+// with dependency-closure delta fan-out, fact-range striping over lockstep
+// replicas), the Service router, and — the core contract — bit-identical
+// results: the same scenario served with 1, 2, and 4 shards under both
+// policies must produce exactly the enumeration/decision/explain
+// transcript of the one-engine Service, including across interleaved
 // ApplyDelta. Also covers cancellation mid-scatter/gather, ordered
 // MemberMerge gathering, per-shard stats (queue depth, q/s, snapshot
 // retention, version skew), and the shard-local write path. The CI runs
@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -245,15 +246,6 @@ SubmitFn Submitter(Service& service) {
   };
 }
 
-SubmitFn Submitter(ShardedService& service) {
-  return [&service](Request request) {
-    auto ticket = service.Submit(std::move(request));
-    EXPECT_TRUE(ticket.ok()) << ticket.status().message();
-    if (!ticket.ok()) return Response();
-    return ticket.value().Take();
-  };
-}
-
 /// Samples targets and churn facts from a scenario deterministically.
 void ScenarioScript(const scenarios::GeneratedScenario& scenario,
                     std::size_t num_targets, std::size_t num_churn,
@@ -270,77 +262,83 @@ void ScenarioScript(const scenarios::GeneratedScenario& scenario,
   }
 }
 
-void CheckShardedEquivalence(const scenarios::GeneratedScenario& scenario,
-                             ShardPolicy policy = ShardPolicy::kAuto) {
-  std::vector<std::string> targets;
-  std::vector<std::string> churn;
-  ScenarioScript(scenario, /*num_targets=*/3, /*num_churn=*/2, targets,
-                 churn);
-  ASSERT_FALSE(targets.empty());
+/// The scenario stacks: every (shard count, policy) pair, skipped where
+/// the scenario has too few intensional predicates for by-predicate.
+class ShardedEquivalenceTest
+    : public ::testing::TestWithParam<testing::Stack> {
+ protected:
+  void Check(const scenarios::GeneratedScenario& scenario) {
+    if (!testing::Supports(scenario.program, GetParam())) {
+      GTEST_SKIP() << scenario.scenario_name
+                   << " has too few intensional predicates";
+    }
+    std::vector<std::string> targets;
+    std::vector<std::string> churn;
+    ScenarioScript(scenario, /*num_targets=*/3, /*num_churn=*/2, targets,
+                   churn);
+    ASSERT_FALSE(targets.empty());
 
-  const auto predicate =
-      scenario.symbols->FindPredicate(scenario.answer_predicate);
-  ASSERT_TRUE(predicate.ok());
+    const auto predicate =
+        scenario.symbols->FindPredicate(scenario.answer_predicate);
+    ASSERT_TRUE(predicate.ok());
 
-  // The unsharded reference.
-  Service reference(scenario.MakeEngine());
-  const std::vector<std::string> expected = RunScript(
-      Submitter(reference), targets, churn, *scenario.symbols);
+    // The one-engine reference, run once per scenario instance.
+    static std::map<std::string, std::vector<std::string>> references;
+    std::vector<std::string>& expected =
+        references[scenario.scenario_name + "/" + scenario.database_name];
+    if (expected.empty()) {
+      Service reference(scenario.MakeEngine());
+      expected = RunScript(Submitter(reference), targets, churn,
+                           *scenario.symbols);
+    }
 
-  for (const std::size_t num_shards : {std::size_t{1}, std::size_t{2},
-                                       std::size_t{4}}) {
-    ShardedServiceOptions options;
-    options.num_shards = num_shards;
-    options.policy = policy;
-    auto sharded = ShardedService::Create(scenario.program, scenario.database,
-                                          predicate.value(), options);
+    ServiceOptions options;
+    options.num_shards = GetParam().num_shards;
+    options.policy = GetParam().policy;
+    auto sharded = Service::Create(scenario.program, scenario.database,
+                                   predicate.value(), options);
     ASSERT_TRUE(sharded.ok()) << sharded.status().message();
     const std::vector<std::string> actual = RunScript(
         Submitter(*sharded.value()), targets, churn, *scenario.symbols);
     EXPECT_EQ(actual, expected)
-        << scenario.scenario_name << " diverged at " << num_shards
-        << " shards ("
+        << scenario.scenario_name << " diverged at "
+        << GetParam().num_shards << " shards ("
         << ShardPolicyName(sharded.value()->shard_map().policy()) << ")";
   }
-}
+};
 
 // The six scenario generators: sharded serving must be invisible in the
 // results on every one of them, across interleaved deltas.
 
-TEST(ShardedEquivalenceTest, TransClosureSparse) {
-  CheckShardedEquivalence(
-      scenarios::MakeTransClosure(scenarios::GraphKind::kSparse, 40, 60,
-                                  20240611));
+TEST_P(ShardedEquivalenceTest, TransClosureSparse) {
+  Check(scenarios::MakeTransClosure(scenarios::GraphKind::kSparse, 40, 60,
+                                    20240611));
 }
 
-TEST(ShardedEquivalenceTest, TransClosureSocial) {
-  CheckShardedEquivalence(
-      scenarios::MakeTransClosure(scenarios::GraphKind::kSocial, 16, 24,
-                                  20240611));
+TEST_P(ShardedEquivalenceTest, TransClosureSocial) {
+  Check(scenarios::MakeTransClosure(scenarios::GraphKind::kSocial, 16, 24,
+                                    20240611));
 }
 
-TEST(ShardedEquivalenceTest, Doctors) {
-  CheckShardedEquivalence(scenarios::MakeDoctors(1, 100, 20240611));
+TEST_P(ShardedEquivalenceTest, Doctors) {
+  Check(scenarios::MakeDoctors(1, 100, 20240611));
 }
 
-TEST(ShardedEquivalenceTest, Andersen) {
-  CheckShardedEquivalence(scenarios::MakeAndersen(100, 20240611));
+TEST_P(ShardedEquivalenceTest, Andersen) {
+  Check(scenarios::MakeAndersen(100, 20240611));
 }
 
-TEST(ShardedEquivalenceTest, Galen) {
-  CheckShardedEquivalence(scenarios::MakeGalen(20, 20240611));
+TEST_P(ShardedEquivalenceTest, Galen) {
+  Check(scenarios::MakeGalen(20, 20240611));
 }
 
-TEST(ShardedEquivalenceTest, Csda) {
-  CheckShardedEquivalence(scenarios::MakeCsda("httpd", 200, 20240611));
+TEST_P(ShardedEquivalenceTest, Csda) {
+  Check(scenarios::MakeCsda("httpd", 200, 20240611));
 }
 
-// Force fact-range on a multi-predicate scenario so the replica path is
-// exercised even where kAuto would have picked by-predicate.
-TEST(ShardedEquivalenceTest, DoctorsFactRangeReplicas) {
-  CheckShardedEquivalence(scenarios::MakeDoctors(1, 100, 20240611),
-                          ShardPolicy::kByFactRange);
-}
+INSTANTIATE_TEST_SUITE_P(Stacks, ShardedEquivalenceTest,
+                         ::testing::ValuesIn(testing::AllStacks()),
+                         testing::StackName);
 
 // --- routing semantics ---------------------------------------------------
 
@@ -350,10 +348,10 @@ TEST(ShardedRoutingTest, FactRangeAcceptsIdsAndTexts) {
   const auto predicate =
       scenario.symbols->FindPredicate(scenario.answer_predicate);
   ASSERT_TRUE(predicate.ok());
-  ShardedServiceOptions options;
+  ServiceOptions options;
   options.num_shards = 2;
-  auto sharded = ShardedService::Create(scenario.program, scenario.database,
-                                        predicate.value(), options);
+  auto sharded = Service::Create(scenario.program, scenario.database,
+                                 predicate.value(), options);
   ASSERT_TRUE(sharded.ok());
   ASSERT_EQ(sharded.value()->shard_map().policy(),
             ShardPolicy::kByFactRange);
@@ -398,10 +396,9 @@ TEST(ShardedRoutingTest, ByPredicateRejectsBareIds) {
   auto ws = TwoTowers();
   const auto p = ws.symbols->FindPredicate("p");
   ASSERT_TRUE(p.ok());
-  ShardedServiceOptions options;
+  ServiceOptions options;
   options.num_shards = 2;
-  auto sharded =
-      ShardedService::Create(ws.program, ws.database, p.value(), options);
+  auto sharded = Service::Create(ws.program, ws.database, p.value(), options);
   ASSERT_TRUE(sharded.ok());
   ASSERT_EQ(sharded.value()->shard_map().policy(), ShardPolicy::kByPredicate);
 
@@ -416,19 +413,18 @@ TEST(ShardedRoutingTest, ByPredicateRejectsBareIds) {
 
 // --- delta fan-out, version skew, per-shard stats ------------------------
 
-TEST(ShardedDeltaTest, PrunedFanOutSkewsVersionsAndCountsSkips) {
-  auto ws = TwoTowers();
-  const auto p = ws.symbols->FindPredicate("p");
-  ASSERT_TRUE(p.ok());
-  ShardedServiceOptions options;
-  options.num_shards = 2;
-  auto sharded =
-      ShardedService::Create(ws.program, ws.database, p.value(), options);
-  ASSERT_TRUE(sharded.ok());
-  ShardedService& service = *sharded.value();
-  ASSERT_EQ(service.shard_map().policy(), ShardPolicy::kByPredicate);
+using ShardedDeltaTest = ::testing::TestWithParam<testing::Stack>;
 
-  // A delta on p's tower only: q's shard must be skipped entirely.
+TEST_P(ShardedDeltaTest, PrunedFanOutSkewsVersionsAndCountsSkips) {
+  auto served = testing::Serve(GetParam(), kTwoTowerProgram,
+                               kTwoTowerDatabase, "p");
+  ASSERT_NE(served, nullptr);
+  Service& service = *served;
+  // Only by-predicate with several shards prunes: q's shard never sees a
+  // delta on p's tower. Replicas (and a lone shard) take every delta.
+  const bool pruned = service.num_shards() > 1 &&
+                      service.shard_map().policy() == ShardPolicy::kByPredicate;
+
   DeltaRequest delta;
   delta.removed_fact_texts = {"ap(a2, a3)"};
   Request request;
@@ -440,8 +436,9 @@ TEST(ShardedDeltaTest, PrunedFanOutSkewsVersionsAndCountsSkips) {
   EXPECT_EQ(response.model_version, 1u);
 
   const ServiceStats stats = service.stats();
-  ASSERT_EQ(stats.shards.size(), 2u);
-  EXPECT_EQ(stats.version_skew, 1u);
+  ASSERT_EQ(stats.shards.size(),
+            service.num_shards() > 1 ? service.num_shards() : 0u);
+  EXPECT_EQ(stats.version_skew, pruned ? 1u : 0u);
   std::uint64_t applied = 0, skipped = 0;
   for (const ShardStats& shard : stats.shards) {
     applied += shard.deltas_applied;
@@ -449,8 +446,8 @@ TEST(ShardedDeltaTest, PrunedFanOutSkewsVersionsAndCountsSkips) {
     EXPECT_GE(shard.retained_snapshots, 1u);
     EXPECT_GT(shard.retained_snapshot_bytes, 0u);
   }
-  EXPECT_EQ(applied, 1u);
-  EXPECT_EQ(skipped, 1u);
+  EXPECT_EQ(applied, stats.shards.size() - (pruned ? 1u : 0u));
+  EXPECT_EQ(skipped, pruned ? 1u : 0u);
 
   // The pruned shard still answers its tower, bit-identically.
   EnumerateRequest q3;
@@ -473,45 +470,33 @@ TEST(ShardedDeltaTest, PrunedFanOutSkewsVersionsAndCountsSkips) {
   EXPECT_FALSE(p_ticket.value().Wait().status.ok());
 }
 
-TEST(ShardedDeltaTest, MalformedDeltaTextFailsThroughTheTicket) {
-  auto ws = TwoTowers();
-  const auto p = ws.symbols->FindPredicate("p");
-  ASSERT_TRUE(p.ok());
-  ShardedServiceOptions options;
-  options.num_shards = 2;
-  auto sharded =
-      ShardedService::Create(ws.program, ws.database, p.value(), options);
-  ASSERT_TRUE(sharded.ok());
-  ASSERT_EQ(sharded.value()->shard_map().policy(), ShardPolicy::kByPredicate);
+TEST_P(ShardedDeltaTest, MalformedDeltaTextFailsThroughTheTicket) {
+  auto served = testing::Serve(GetParam(), kTwoTowerProgram,
+                               kTwoTowerDatabase, "p");
+  ASSERT_NE(served, nullptr);
 
   DeltaRequest delta;
   delta.added_fact_texts = {"((garbage"};
   Request request;
   request.op = std::move(delta);
-  auto ticket = sharded.value()->Submit(std::move(request));
+  auto ticket = served->Submit(std::move(request));
   ASSERT_TRUE(ticket.ok());
   EXPECT_EQ(ticket.value().Wait().status.code(),
             util::StatusCode::kParseError);
 
   // No shard applied anything: versions stay at 0.
-  EXPECT_EQ(sharded.value()->stats().model_version, 0u);
+  EXPECT_EQ(served->stats().model_version, 0u);
 }
 
-TEST(ShardedDeltaTest, UncoveredPredicateFactsLandOnTheDefaultShard) {
-  auto ws = TwoTowers();
-  const auto p = ws.symbols->FindPredicate("p");
-  ASSERT_TRUE(p.ok());
-  ShardedServiceOptions options;
-  options.num_shards = 2;
-  auto sharded =
-      ShardedService::Create(ws.program, ws.database, p.value(), options);
-  ASSERT_TRUE(sharded.ok());
-  ShardedService& service = *sharded.value();
-  ASSERT_EQ(service.shard_map().policy(), ShardPolicy::kByPredicate);
+TEST_P(ShardedDeltaTest, UncoveredPredicateFactsLandOnTheDefaultShard) {
+  auto served = testing::Serve(GetParam(), kTwoTowerProgram,
+                               kTwoTowerDatabase, "p");
+  ASSERT_NE(served, nullptr);
+  Service& service = *served;
 
-  // A fact over a predicate no rule mentions is in no shard's partition;
-  // it must still be written (shard 0) and readable back through the
-  // router, like on the unsharded engine.
+  // A fact over a predicate no rule mentions is in no by-predicate
+  // shard's partition; it must still be written (shard 0) and readable
+  // back through the router, like on one engine.
   DeltaRequest delta;
   delta.added_fact_texts = {"annotation(a1)"};
   Request request;
@@ -534,18 +519,22 @@ TEST(ShardedDeltaTest, UncoveredPredicateFactsLandOnTheDefaultShard) {
   EXPECT_EQ(read_response.members_emitted, 1u);
 }
 
-TEST(ShardedDeltaTest, FactRangeDeltasKeepReplicasLockstep) {
+TEST_P(ShardedDeltaTest, FactRangeDeltasKeepReplicasLockstep) {
   auto scenario =
       scenarios::MakeTransClosure(scenarios::GraphKind::kSparse, 40, 60, 7);
+  if (!testing::Supports(scenario.program, GetParam())) {
+    GTEST_SKIP() << "TransClosure has one intensional predicate";
+  }
   const auto predicate =
       scenario.symbols->FindPredicate(scenario.answer_predicate);
   ASSERT_TRUE(predicate.ok());
-  ShardedServiceOptions options;
-  options.num_shards = 4;
-  auto sharded = ShardedService::Create(scenario.program, scenario.database,
-                                        predicate.value(), options);
-  ASSERT_TRUE(sharded.ok());
-  ShardedService& service = *sharded.value();
+  ServiceOptions options;
+  options.num_shards = GetParam().num_shards;
+  options.policy = GetParam().policy;
+  auto sharded = Service::Create(scenario.program, scenario.database,
+                                 predicate.value(), options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().message();
+  Service& service = *sharded.value();
 
   const std::string churn = dl::FactToString(
       scenario.database.facts().front(), *scenario.symbols);
@@ -565,12 +554,19 @@ TEST(ShardedDeltaTest, FactRangeDeltasKeepReplicasLockstep) {
   }
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.version_skew, 0u);
-  ASSERT_EQ(stats.shards.size(), 4u);
+  EXPECT_EQ(stats.model_version, 3u);
+  ASSERT_EQ(stats.shards.size(),
+            service.num_shards() > 1 ? service.num_shards() : 0u);
   for (const ShardStats& shard : stats.shards) {
     EXPECT_EQ(shard.model_version, 3u);
     EXPECT_EQ(shard.deltas_applied, 3u);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Stacks, ShardedDeltaTest,
+                         ::testing::ValuesIn(
+                             testing::StacksFor(kTwoTowerProgram)),
+                         testing::StackName);
 
 // --- scatter/gather ------------------------------------------------------
 
@@ -586,21 +582,25 @@ constexpr const char* kDiamondDatabase = R"(
   edge(c, n2). edge(n2, d).
 )";
 
-std::unique_ptr<ShardedService> MakeDiamondService(std::size_t num_shards,
-                                                   std::size_t num_threads = 0,
-                                                   std::size_t queue = 64) {
-  ShardedServiceOptions options;
+std::unique_ptr<Service> MakeDiamondService(std::size_t num_shards,
+                                            std::size_t num_threads = 0,
+                                            std::size_t queue = 64) {
+  ServiceOptions options;
   options.num_shards = num_shards;
-  options.service.num_threads = num_threads;
-  options.service.queue_capacity = queue;
-  auto sharded = ShardedService::FromText(kDiamondProgram, kDiamondDatabase,
-                                          "path", options);
+  options.num_threads = num_threads;
+  options.queue_capacity = queue;
+  auto sharded =
+      Service::FromText(kDiamondProgram, kDiamondDatabase, "path", options);
   EXPECT_TRUE(sharded.ok()) << sharded.status().message();
   return std::move(sharded).value();
 }
 
-TEST(ShardedStreamTest, StreamManyGathersInRequestOrder) {
-  auto service = MakeDiamondService(2);
+using ShardedStreamTest = ::testing::TestWithParam<testing::Stack>;
+
+TEST_P(ShardedStreamTest, StreamManyGathersInRequestOrder) {
+  auto service = testing::Serve(GetParam(), kDiamondProgram, kDiamondDatabase,
+                                "path");
+  ASSERT_NE(service, nullptr);
   std::vector<EnumerateRequest> requests(2);
   requests[0].target_text = "path(a, b)";  // 3 members
   requests[1].target_text = "path(c, d)";  // 2 members
@@ -623,8 +623,12 @@ TEST(ShardedStreamTest, StreamManyGathersInRequestOrder) {
   EXPECT_TRUE(merged.value()->final_status().ok());
 }
 
-TEST(ShardedStreamTest, CloseMidScatterGatherCancelsEveryPart) {
-  auto service = MakeDiamondService(2, /*num_threads=*/2);
+TEST_P(ShardedStreamTest, CloseMidScatterGatherCancelsEveryPart) {
+  ServiceOptions options;
+  options.num_threads = 2;
+  auto service = testing::Serve(GetParam(), kDiamondProgram, kDiamondDatabase,
+                                "path", options);
+  ASSERT_NE(service, nullptr);
   std::vector<EnumerateRequest> requests(4);
   requests[0].target_text = "path(a, b)";
   requests[1].target_text = "path(c, d)";
@@ -655,6 +659,11 @@ TEST(ShardedStreamTest, CloseMidScatterGatherCancelsEveryPart) {
   EXPECT_TRUE(ticket.value().Wait().status.ok());
 }
 
+INSTANTIATE_TEST_SUITE_P(Stacks, ShardedStreamTest,
+                         ::testing::ValuesIn(
+                             testing::StacksFor(kDiamondProgram)),
+                         testing::StackName);
+
 TEST(ShardedBatchTest, BatchesMatchUnshardedService) {
   auto scenario = scenarios::MakeDoctors(1, 100, 20240611);
   const auto predicate =
@@ -674,10 +683,10 @@ TEST(ShardedBatchTest, BatchesMatchUnshardedService) {
   Service reference(scenario.MakeEngine());
   const BatchEnumerateResult expected = reference.EnumerateBatch(requests);
 
-  ShardedServiceOptions options;
+  ServiceOptions options;
   options.num_shards = 2;
-  auto sharded = ShardedService::Create(scenario.program, scenario.database,
-                                        predicate.value(), options);
+  auto sharded = Service::Create(scenario.program, scenario.database,
+                                 predicate.value(), options);
   ASSERT_TRUE(sharded.ok());
   const BatchEnumerateResult actual =
       sharded.value()->EnumerateBatch(requests);

@@ -637,7 +637,7 @@ TEST(SimplifyEquivalenceTest, Csda) {
 
 // --- End to end: through the sharded stack -------------------------------
 
-std::set<std::string> ShardedFamilies(ShardedService& service,
+std::set<std::string> ShardedFamilies(Service& service,
                                       const std::vector<std::string>& targets,
                                       const dl::SymbolTable& symbols) {
   std::set<std::string> rendered;
@@ -678,11 +678,12 @@ TEST(SimplifyShardedTest, ShardedServingMatchesOff) {
   std::set<std::string> fast_families;
   for (const SimplifyMode mode :
        {SimplifyMode::kOff, SimplifyMode::kFast}) {
-    ShardedServiceOptions options;
+    ServiceOptions options;
     options.num_shards = 2;
-    options.engine.plan_simplify = mode;
-    auto sharded = ShardedService::Create(scenario.program, scenario.database,
-                                          predicate.value(), options);
+    EngineOptions engine_options;
+    engine_options.plan_simplify = mode;
+    auto sharded = Service::Create(scenario.program, scenario.database,
+                                   predicate.value(), options, engine_options);
     ASSERT_TRUE(sharded.ok()) << sharded.status().message();
     auto& families =
         mode == SimplifyMode::kOff ? off_families : fast_families;

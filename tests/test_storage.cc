@@ -7,11 +7,13 @@
 // truncating and corrupting the on-disk files directly. The CI runs
 // this binary under ThreadSanitizer.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -236,15 +238,6 @@ SubmitFn Submitter(Service& service) {
   };
 }
 
-SubmitFn Submitter(ShardedService& service) {
-  return [&service](Request request) {
-    auto ticket = service.Submit(std::move(request));
-    EXPECT_TRUE(ticket.ok()) << ticket.status().message();
-    if (!ticket.ok()) return Response();
-    return ticket.value().Take();
-  };
-}
-
 /// The same scripted mixed workload the sharding equivalence tests use:
 /// enumerate / decide over every target, interleaved with awaited
 /// remove-then-restore deltas, rendered into a transcript. Because the
@@ -445,7 +438,7 @@ TEST(DurableEquivalenceTest, Csda) {
 
 // --- sharded restarts -----------------------------------------------------
 
-/// Restart-equivalence through ShardedService: one group-level store,
+/// Restart-equivalence through a 2-shard Service: one group-level store,
 /// restored via lockstep AdoptRecovered (fact-range) or full-log replay
 /// through the split-and-apply path (by-predicate).
 void CheckShardedDurableRestart(const scenarios::GeneratedScenario& scenario,
@@ -464,15 +457,16 @@ void CheckShardedDurableRestart(const scenarios::GeneratedScenario& scenario,
   const std::vector<std::string> expected =
       RunScript(Submitter(reference), targets, churn, *scenario.symbols);
 
-  ShardedServiceOptions options;
+  ServiceOptions options;
   options.num_shards = 2;
   options.policy = policy;
-  options.engine.data_dir = TempDataDir(dir_name);
-  options.engine.checkpoint_interval = 1;
+  EngineOptions engine_options;
+  engine_options.data_dir = TempDataDir(dir_name);
+  engine_options.checkpoint_interval = 1;
 
   {
-    auto sharded = ShardedService::Create(scenario.program, scenario.database,
-                                          predicate.value(), options);
+    auto sharded = Service::Create(scenario.program, scenario.database,
+                                   predicate.value(), options, engine_options);
     ASSERT_TRUE(sharded.ok()) << sharded.status().message();
     ASSERT_TRUE(sharded.value()->durability_status().ok())
         << sharded.value()->durability_status().message();
@@ -483,8 +477,8 @@ void CheckShardedDurableRestart(const scenarios::GeneratedScenario& scenario,
     EXPECT_EQ(sharded.value()->stats().wal_appends, 2 * churn.size());
   }
 
-  auto restarted = ShardedService::Create(scenario.program, scenario.database,
-                                          predicate.value(), options);
+  auto restarted = Service::Create(scenario.program, scenario.database,
+                                   predicate.value(), options, engine_options);
   ASSERT_TRUE(restarted.ok()) << restarted.status().message();
   ASSERT_TRUE(restarted.value()->durability_status().ok())
       << restarted.value()->durability_status().message();
@@ -634,6 +628,83 @@ TEST(DurableServiceTest, CountersSurfaceThroughStats) {
   Response response = Submitter(recovered)(std::move(request));
   EXPECT_TRUE(response.status.ok()) << response.status.message();
   EXPECT_FALSE(response.members.empty());
+}
+
+/// Reads the service's group-commit fsync count when a request
+/// completes: a sink's OnComplete runs just before its ticket does.
+class SyncsAtCompletion : public MemberSink {
+ public:
+  explicit SyncsAtCompletion(const Service& service) : service_(service) {}
+  bool OnMember(std::vector<dl::Fact> /*member*/) override { return true; }
+  void OnComplete(const util::Status& /*status*/) override {
+    syncs_ = service_.stats().wal_syncs;
+  }
+  std::uint64_t syncs() const { return syncs_; }
+
+ private:
+  const Service& service_;
+  std::atomic<std::uint64_t> syncs_{0};
+};
+
+TEST(DurableServiceTest, GroupCommitSyncsBeforeAcknowledgingABurstsLastDelta) {
+  auto ws = testing::MakeWorkspace(
+      "path(X, Y) :- edge(X, Y).\n"
+      "path(X, Y) :- edge(X, Z), path(Z, Y).",
+      "edge(a, m1). edge(m1, b). edge(a, m2). edge(m2, b).");
+  const auto predicate = ws.symbols->FindPredicate("path");
+  ASSERT_TRUE(predicate.ok());
+  EngineOptions durable_options;
+  durable_options.data_dir = TempDataDir("svc_group_commit");
+  durable_options.wal_fsync = true;
+  durable_options.wal_group_commit = true;
+  ServiceOptions options;
+  options.num_threads = 1;
+  Service service(Engine::FromParts(ws.program, ws.database,
+                                    predicate.value(), durable_options),
+                  options);
+  ASSERT_TRUE(service.durability_status().ok());
+  const auto add = [&service](const std::string& fact,
+                              std::shared_ptr<SyncsAtCompletion> probe) {
+    DeltaRequest delta;
+    delta.added_fact_texts = {fact};
+    Request request;
+    request.op = std::move(delta);
+    return service.Submit(std::move(request), std::move(probe));
+  };
+
+  // A lone delta is its own burst: its record is synced before its
+  // ticket completes.
+  auto lone_probe = std::make_shared<SyncsAtCompletion>(service);
+  auto lone = add("edge(b, c0)", lone_probe);
+  ASSERT_TRUE(lone.ok());
+  ASSERT_TRUE(lone.value().Wait().status.ok());
+  EXPECT_EQ(lone_probe->syncs(), 1u);
+
+  // A burst: park the one worker on a full stream so three deltas queue
+  // in one drain. The first two are acknowledged before the burst's one
+  // sync; the last is acknowledged after it.
+  EnumerateRequest blocker;
+  blocker.target_text = "path(a, b)";
+  auto streamed = service.Stream(std::move(blocker), /*stream_capacity=*/1);
+  ASSERT_TRUE(streamed.ok());
+  auto [blocker_ticket, blocker_stream] = std::move(streamed).value();
+  std::vector<std::shared_ptr<SyncsAtCompletion>> probes;
+  std::vector<Ticket> burst;
+  for (int i = 1; i <= 3; ++i) {
+    probes.push_back(std::make_shared<SyncsAtCompletion>(service));
+    auto ticket = add("edge(b, c" + std::to_string(i) + ")", probes.back());
+    ASSERT_TRUE(ticket.ok());
+    burst.push_back(std::move(ticket).value());
+  }
+  blocker_stream->Close();
+  for (const Ticket& ticket : burst) ASSERT_TRUE(ticket.Wait().status.ok());
+  blocker_ticket.Wait();
+  EXPECT_EQ(probes[0]->syncs(), 1u);
+  EXPECT_EQ(probes[1]->syncs(), 1u);
+  EXPECT_EQ(probes[2]->syncs(), 2u);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.wal_appends, 4u);
+  EXPECT_EQ(stats.wal_syncs, 2u);
 }
 
 }  // namespace

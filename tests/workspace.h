@@ -1,7 +1,8 @@
 #ifndef WHYPROV_TESTS_WORKSPACE_H_
 #define WHYPROV_TESTS_WORKSPACE_H_
 
-// Shared test helper: parse a program and a database into one workspace.
+// Shared test helpers: parse a program and a database into one
+// workspace; serve text on each shard count and partition policy.
 
 #include <memory>
 #include <set>
@@ -15,6 +16,8 @@
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
 #include "datalog/program.h"
+#include "service/service.h"
+#include "shard/shard_map.h"
 
 namespace whyprov::testing {
 
@@ -63,6 +66,64 @@ inline std::set<std::string> FamilyToStrings(
     out.insert(MemberToString(member, symbols));
   }
   return out;
+}
+
+/// One serving stack the Service suites run over: how many shard engines,
+/// partitioned how.
+struct Stack {
+  std::size_t num_shards = 1;
+  ShardPolicy policy = ShardPolicy::kByFactRange;
+};
+
+/// Names parameterised tests like ".../Shards2ByPredicate".
+inline std::string StackName(const ::testing::TestParamInfo<Stack>& info) {
+  return "Shards" + std::to_string(info.param.num_shards) +
+         (info.param.policy == ShardPolicy::kByPredicate ? "ByPredicate"
+                                                         : "FactRange");
+}
+
+/// True iff `program` can be partitioned as `stack` asks (by-predicate
+/// needs at least one intensional predicate per shard).
+inline bool Supports(const datalog::Program& program, const Stack& stack) {
+  return ShardMap::Build(program, stack.num_shards, stack.policy).ok();
+}
+
+/// N in {1, 2, 4} times both policies: the stacks every serving
+/// behaviour is checked on.
+inline std::vector<Stack> AllStacks() {
+  std::vector<Stack> stacks;
+  for (const std::size_t num_shards : {1, 2, 4}) {
+    for (const ShardPolicy policy :
+         {ShardPolicy::kByFactRange, ShardPolicy::kByPredicate}) {
+      stacks.push_back(Stack{num_shards, policy});
+    }
+  }
+  return stacks;
+}
+
+/// The stacks `program_text` supports.
+inline std::vector<Stack> StacksFor(const char* program_text) {
+  const Workspace ws = MakeWorkspace(program_text, "");
+  std::vector<Stack> stacks;
+  for (const Stack& stack : AllStacks()) {
+    if (Supports(ws.program, stack)) stacks.push_back(stack);
+  }
+  return stacks;
+}
+
+/// Serves program/database text on `stack` (null, with a test failure,
+/// when the service cannot be built).
+inline std::unique_ptr<Service> Serve(
+    const Stack& stack, const char* program_text, const char* database_text,
+    const char* answer_predicate, ServiceOptions options = ServiceOptions(),
+    EngineOptions engine_options = EngineOptions()) {
+  options.num_shards = stack.num_shards;
+  options.policy = stack.policy;
+  auto service = Service::FromText(program_text, database_text,
+                                   answer_predicate, options, engine_options);
+  EXPECT_TRUE(service.ok()) << service.status().message();
+  if (!service.ok()) return nullptr;
+  return std::move(service).value();
 }
 
 }  // namespace whyprov::testing

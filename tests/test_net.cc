@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -223,7 +224,290 @@ TEST(WireRoundTripTest, StatsReplyFrame) {
   EXPECT_EQ(decoded.value().stats.num_shards, 4u);
 }
 
+// --- byte-layout goldens ---------------------------------------------------
+
+// One frame of every kind (and a final frame of every request kind) with
+// every field set to a distinct non-default value. WireGoldenTest pins
+// their encodings as committed hex, so a layout change fails it even when
+// Encode and Decode change in step, which the round trips cannot see.
+
+EnumerateFrame GoldenEnumerate() {
+  EnumerateFrame frame;
+  frame.request_id = 0x1122334455667788ULL;
+  frame.target = "p(a)";
+  frame.max_members = 3;
+  frame.deadline_seconds = 1.5;
+  frame.stream = 1;
+  frame.batch_size = 4;
+  frame.qos_class = WHYPROV_QOS_BATCH;
+  frame.tenant = "t1";
+  return frame;
+}
+
+DecideFrame GoldenDecide() {
+  DecideFrame frame;
+  frame.request_id = 5;
+  frame.target = "p(b)";
+  frame.tree_class = WHYPROV_TREE_MINIMAL_DEPTH;
+  frame.candidate_facts = {"e(a)", "e(b)"};
+  frame.deadline_seconds = -2.0;
+  frame.qos_class = WHYPROV_QOS_BATCH;
+  frame.tenant = "t2";
+  return frame;
+}
+
+ExplainFrame GoldenExplain() {
+  ExplainFrame frame;
+  frame.request_id = 6;
+  frame.target = "p(c)";
+  frame.member_index = 7;
+  frame.deadline_seconds = 0.25;
+  frame.qos_class = WHYPROV_QOS_BATCH;
+  frame.tenant = "t3";
+  return frame;
+}
+
+DeltaFrame GoldenDelta() {
+  DeltaFrame frame;
+  frame.request_id = 8;
+  frame.added_facts = {"e(x)"};
+  frame.removed_facts = {"e(y)", "e(z)"};
+  frame.deadline_seconds = 3.0;
+  frame.qos_class = WHYPROV_QOS_BATCH;
+  frame.tenant = "t4";
+  return frame;
+}
+
+StatsFrame GoldenStats() {
+  StatsFrame frame;
+  frame.request_id = 9;
+  return frame;
+}
+
+MembersFrame GoldenMembers() {
+  MembersFrame frame;
+  frame.request_id = 10;
+  frame.members = {{"e(a)", "e(b)"}, {}, {"e(c)"}};
+  return frame;
+}
+
+/// A final frame answering a request of `kind`, with every field that
+/// kind encodes set.
+FinalFrame GoldenFinal(std::uint8_t kind) {
+  FinalFrame frame;
+  frame.request_id = 11;
+  frame.status_code = WHYPROV_DEADLINE_EXCEEDED;
+  frame.status_message = "late";
+  frame.kind = kind;
+  frame.model_version = 12;
+  frame.members_emitted = 13;
+  frame.enumerate_flags = WHYPROV_ENUM_EXHAUSTED;
+  frame.members = {{"e(d)"}, {"e(e)", "e(f)"}};
+  frame.verdict = 1;
+  frame.has_explanation = 1;
+  frame.explanation_member = {"e(g)"};
+  frame.proof_tree = "p(g)\n  e(g)\n";
+  frame.has_delta = 1;
+  frame.delta = {21, 22, 23, 24, 25, 26, 27, 28, 29};
+  return frame;
+}
+
+ErrorFrame GoldenError() {
+  ErrorFrame frame;
+  frame.request_id = 14;
+  frame.status_code = WHYPROV_INVALID_ARGUMENT;
+  frame.message = "bad";
+  return frame;
+}
+
+StatsReplyFrame GoldenStatsReply() {
+  StatsReplyFrame frame;
+  frame.request_id = 15;
+  frame.stats.submitted = 101;
+  frame.stats.rejected = 102;
+  frame.stats.completed = 103;
+  frame.stats.succeeded = 104;
+  frame.stats.cancelled = 105;
+  frame.stats.deadline_exceeded = 106;
+  frame.stats.failed = 107;
+  frame.stats.members_delivered = 108;
+  frame.stats.queue_depth = 109;
+  frame.stats.in_flight = 110;
+  frame.stats.queries_per_second = 111.5;
+  frame.stats.model_version = 112;
+  frame.stats.retained_snapshots = 113;
+  frame.stats.retained_snapshot_bytes = 114;
+  frame.stats.snapshot_evictions = 115;
+  frame.stats.snapshot_alarm = 1;
+  frame.stats.version_skew = 116;
+  frame.stats.num_shards = 117;
+  frame.stats.wal_appends = 118;
+  frame.stats.wal_bytes = 119;
+  frame.stats.checkpoints_written = 120;
+  frame.stats.recovery_replayed_deltas = 121;
+  frame.stats.plans_simplified = 122;
+  frame.stats.simplify_vars_removed = 123;
+  frame.stats.simplify_clauses_removed = 124;
+  frame.stats.simplify_micros = 125;
+  // One row per lane: 0 = interactive, 1 = batch.
+  frame.tenants.push_back({"t5", 0, 31, 32, 33, 34, 35.5, 0.125, 0.5});
+  frame.tenants.push_back({"t6", 1, 41, 42, 43, 44, 45.5, 0.25, 0.75});
+  return frame;
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    out.push_back(kDigits[byte >> 4]);
+    out.push_back(kDigits[byte & 0xf]);
+  }
+  return out;
+}
+
+std::string Unhex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+/// `frame` must encode to exactly `hex`, and decoding `hex` must give a
+/// frame that re-encodes to it (so the decoder read every field back).
+template <typename Frame, typename Decode>
+void ExpectGolden(const Frame& frame, Decode decode, std::string_view hex) {
+  EXPECT_EQ(Hex(Encode(frame)), hex);
+  auto decoded = decode(Unhex(hex));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ(Hex(Encode(decoded.value())), hex);
+}
+
+TEST(WireGoldenTest, EveryFrameKindKeepsItsByteLayout) {
+  {
+    SCOPED_TRACE("enumerate");
+    ExpectGolden(GoldenEnumerate(), DecodeEnumerate,
+                 "88776655443322110400000070286129030000000000000000000000"
+                 "0000f83f010400000001020000007431");
+  }
+  {
+    SCOPED_TRACE("decide");
+    ExpectGolden(GoldenDecide(), DecodeDecide,
+                 "05000000000000000400000070286229020200000004000000652861"
+                 "29040000006528622900000000000000c001020000007432");
+  }
+  {
+    SCOPED_TRACE("explain");
+    ExpectGolden(GoldenExplain(), DecodeExplain,
+                 "06000000000000000400000070286329070000000000000000000000"
+                 "0000d03f01020000007433");
+  }
+  {
+    SCOPED_TRACE("delta");
+    ExpectGolden(GoldenDelta(), DecodeDelta,
+                 "08000000000000000100000004000000652878290200000004000000"
+                 "652879290400000065287a29000000000000084001020000007434");
+  }
+  {
+    SCOPED_TRACE("stats");
+    ExpectGolden(GoldenStats(), DecodeStats, "0900000000000000");
+  }
+  {
+    SCOPED_TRACE("members");
+    ExpectGolden(GoldenMembers(), DecodeMembers,
+                 "0a000000000000000300000002000000040000006528612904000000"
+                 "6528622900000000010000000400000065286329");
+  }
+  {
+    SCOPED_TRACE("final/enumerate");
+    ExpectGolden(GoldenFinal(kFrameEnumerate), DecodeFinal,
+                 "0b0000000000000007040000006c617465010c000000000000000d00"
+                 "00000000000001020000000100000004000000652864290200000004"
+                 "000000652865290400000065286629");
+  }
+  {
+    SCOPED_TRACE("final/decide");
+    ExpectGolden(GoldenFinal(kFrameDecide), DecodeFinal,
+                 "0b0000000000000007040000006c617465020c0000000000000001");
+  }
+  {
+    SCOPED_TRACE("final/explain");
+    ExpectGolden(GoldenFinal(kFrameExplain), DecodeFinal,
+                 "0b0000000000000007040000006c617465030c000000000000000101"
+                 "00000004000000652867290c000000702867290a2020652867290a");
+  }
+  {
+    SCOPED_TRACE("final/delta");
+    ExpectGolden(GoldenFinal(kFrameDelta), DecodeFinal,
+                 "0b0000000000000007040000006c617465040c000000000000000115"
+                 "00000000000000160000000000000017000000000000001800000000"
+                 "00000019000000000000001a000000000000001b000000000000001c"
+                 "000000000000001d00000000000000");
+  }
+  {
+    SCOPED_TRACE("final/stats");
+    ExpectGolden(GoldenFinal(kFrameStats), DecodeFinal,
+                 "0b0000000000000007040000006c617465050c00000000000000");
+  }
+  {
+    SCOPED_TRACE("error");
+    ExpectGolden(GoldenError(), DecodeError,
+                 "0e000000000000000203000000626164");
+  }
+  {
+    SCOPED_TRACE("stats reply");
+    ExpectGolden(GoldenStatsReply(), DecodeStatsReply,
+                 "0f000000000000006500000000000000660000000000000067000000"
+                 "00000000680000000000000069000000000000006a00000000000000"
+                 "6b000000000000006c000000000000006d000000000000006e000000"
+                 "000000000000000000e05b4070000000000000007100000000000000"
+                 "72000000000000007300000000000000017400000000000000750000"
+                 "00000000007600000000000000770000000000000078000000000000"
+                 "00790000000000000002000000020000007435001f00000000000000"
+                 "20000000000000002100000000000000220000000000000000000000"
+                 "00c04140000000000000c03f000000000000e03f0200000074360129"
+                 "000000000000002a000000000000002b000000000000002c00000000"
+                 "0000000000000000c04640000000000000d03f000000000000e83f7a"
+                 "000000000000007b000000000000007c000000000000007d00000000"
+                 "000000");
+  }
+}
+
 // --- wire rejection paths --------------------------------------------------
+
+/// Decodes every proper prefix of `frame`'s encoding. Only the prefixes
+/// whose lengths `cut_points` lists may decode, each to the frame listed
+/// with it (compared by re-encoding); every other prefix must fail.
+template <typename Frame, typename Decode>
+void ExpectOnlyCutPointsDecode(const Frame& frame, Decode decode,
+                               const std::map<std::size_t, Frame>& cut_points) {
+  const std::string body = Encode(frame);
+  for (std::size_t cut = 0; cut < body.size(); ++cut) {
+    auto decoded = decode(body.substr(0, cut));
+    const auto point = cut_points.find(cut);
+    if (point == cut_points.end()) {
+      EXPECT_FALSE(decoded.ok()) << "prefix of " << cut << " bytes";
+      continue;
+    }
+    ASSERT_TRUE(decoded.ok()) << "prefix of " << cut << " bytes: "
+                              << decoded.status().message();
+    EXPECT_EQ(Hex(Encode(decoded.value())), Hex(Encode(point->second)))
+        << "prefix of " << cut << " bytes";
+  }
+}
+
+/// The one valid cut of a request frame: just before its appended QoS
+/// identity (u8 class + tenant string), decoding to the default identity.
+template <typename Request>
+std::map<std::size_t, Request> PreQos(Request request) {
+  const std::size_t tail = 1 + 4 + request.tenant.size();
+  const std::size_t cut = Encode(request).size() - tail;
+  request.qos_class = WHYPROV_QOS_INTERACTIVE;
+  request.tenant.clear();
+  return {{cut, request}};
+}
 
 TEST(WireRejectionTest, EveryTruncationOfABodyFails) {
   EnumerateFrame enumerate;
@@ -251,6 +535,41 @@ TEST(WireRejectionTest, EveryTruncationOfABodyFails) {
   for (std::size_t cut = 0; cut < final_body.size(); ++cut) {
     EXPECT_FALSE(DecodeFinal(final_body.substr(0, cut)).ok());
   }
+
+  // Every kind, from the goldens (all fields non-default). The only
+  // prefixes that decode are the documented cut points before appended
+  // fields, and each decodes with those fields at their defaults.
+  ExpectOnlyCutPointsDecode(GoldenEnumerate(), DecodeEnumerate,
+                            PreQos(GoldenEnumerate()));
+  ExpectOnlyCutPointsDecode(GoldenDecide(), DecodeDecide,
+                            PreQos(GoldenDecide()));
+  ExpectOnlyCutPointsDecode(GoldenExplain(), DecodeExplain,
+                            PreQos(GoldenExplain()));
+  ExpectOnlyCutPointsDecode(GoldenDelta(), DecodeDelta, PreQos(GoldenDelta()));
+  ExpectOnlyCutPointsDecode(GoldenStats(), DecodeStats, {});
+  ExpectOnlyCutPointsDecode(GoldenMembers(), DecodeMembers, {});
+  for (std::uint8_t kind : {kFrameEnumerate, kFrameDecide, kFrameExplain,
+                            kFrameDelta, kFrameStats}) {
+    ExpectOnlyCutPointsDecode(GoldenFinal(kind), DecodeFinal, {});
+  }
+  ExpectOnlyCutPointsDecode(GoldenError(), DecodeError, {});
+
+  // STATS_REPLY has two appended sections: the tenant rows (u32 count +
+  // rows) and then four u64 plan-simplify counters.
+  StatsReplyFrame pre_simplify = GoldenStatsReply();
+  pre_simplify.stats.plans_simplified = 0;
+  pre_simplify.stats.simplify_vars_removed = 0;
+  pre_simplify.stats.simplify_clauses_removed = 0;
+  pre_simplify.stats.simplify_micros = 0;
+  StatsReplyFrame pre_tenant = pre_simplify;
+  pre_tenant.tenants.clear();
+  constexpr std::size_t kSimplifyTail = 4 * 8;  // four u64 counters
+  constexpr std::size_t kNoTenants = 4;         // a u32 row count of 0
+  std::map<std::size_t, StatsReplyFrame> cut_points;
+  cut_points[Encode(pre_tenant).size() - kNoTenants - kSimplifyTail] =
+      pre_tenant;
+  cut_points[Encode(pre_simplify).size() - kSimplifyTail] = pre_simplify;
+  ExpectOnlyCutPointsDecode(GoldenStatsReply(), DecodeStatsReply, cut_points);
 }
 
 TEST(WireRejectionTest, TrailingGarbageFails) {

@@ -1,21 +1,291 @@
 #include "net/wire.h"
 
-#include <cstring>
+#include <concepts>
+#include <type_traits>
 #include <utility>
 
 namespace whyprov::net {
 
 namespace {
 
-util::Status Malformed(const char* what) {
-  return util::Status::InvalidArgument(std::string("malformed frame: ") +
-                                       what);
+util::Status Malformed(std::string_view what) {
+  return util::Status::InvalidArgument("malformed frame: " +
+                                       std::string(what));
+}
+
+// --- field walks ----------------------------------------------------------
+//
+// Each frame kind's byte layout is written once, as Walk(io, frame) over
+// its fields in wire order: Encode walks with a FieldWriter (appends each
+// field), Decode with a FieldReader (reads it back, poisoning on
+// underrun). Tail() guards fields appended after a frame first shipped:
+// the writer always writes them, the reader only when bytes remain, so
+// older frames decode with the defaults. Fail(what) rejects a decoded
+// value the encoder never writes; the writer ignores it.
+
+class FieldWriter {
+ public:
+  void U8(std::uint8_t value) { writer_.PutU8(value); }
+  void U32(std::uint32_t value) { writer_.PutU32(value); }
+  void U64(std::uint64_t value) { writer_.PutU64(value); }
+  void F64(double value) { writer_.PutF64(value); }
+  void Flag(int value) { writer_.PutU8(value != 0 ? 1 : 0); }
+  void String(const std::string& value) { writer_.PutString(value); }
+  void Strings(const std::vector<std::string>& values) {
+    writer_.PutStringList(values);
+  }
+  /// u32 count, then `walk_element` over each element.
+  template <typename T, typename WalkElement>
+  void List(const std::vector<T>& values, WalkElement walk_element) {
+    writer_.PutU32(static_cast<std::uint32_t>(values.size()));
+    for (const T& value : values) walk_element(value);
+  }
+
+  bool Tail() const { return true; }
+  void Fail(const char* /*what*/) {}
+
+  std::string Take() { return writer_.Take(); }
+
+ private:
+  WireWriter writer_;
+};
+
+class FieldReader {
+ public:
+  explicit FieldReader(std::string_view body) : reader_(body) {}
+
+  void U8(std::uint8_t& value) { reader_.GetU8(&value); }
+  void U32(std::uint32_t& value) { reader_.GetU32(&value); }
+  /// Also fills the C ABI's size_t counters, which travel as u64.
+  template <typename Unsigned>
+  void U64(Unsigned& value) {
+    std::uint64_t wide = 0;
+    if (reader_.GetU64(&wide)) value = static_cast<Unsigned>(wide);
+  }
+  void F64(double& value) { reader_.GetF64(&value); }
+  /// Keeps the raw byte so the walk can Fail on anything but 0 or 1.
+  void Flag(int& value) {
+    std::uint8_t byte = 0;
+    if (reader_.GetU8(&byte)) value = byte;
+  }
+  void String(std::string& value) { reader_.GetString(&value); }
+  void Strings(std::vector<std::string>& values) {
+    reader_.GetStringList(&values);
+  }
+  template <typename T, typename WalkElement>
+  void List(std::vector<T>& values, WalkElement walk_element) {
+    std::uint32_t count = 0;
+    reader_.GetU32(&count);
+    values.clear();
+    // Stops at the first underrun, so a hostile count costs nothing.
+    for (std::uint32_t i = 0; i < count && reader_.ok(); ++i) {
+      walk_element(values.emplace_back());
+    }
+  }
+
+  bool Tail() const { return !reader_.exhausted(); }
+  void Fail(const char* what) {
+    if (failure_ == nullptr) failure_ = what;
+  }
+
+  /// A decode succeeds only if no Fail fired, nothing ran short, and
+  /// every byte was consumed.
+  template <typename Frame>
+  util::Result<Frame> Finish(Frame frame, const char* kind) const {
+    if (failure_ != nullptr) return Malformed(failure_);
+    if (!reader_.ok()) return Malformed(std::string("truncated ") + kind);
+    if (!reader_.exhausted()) {
+      return Malformed(std::string("trailing bytes after ") + kind);
+    }
+    return frame;
+  }
+
+ private:
+  WireReader reader_;
+  const char* failure_ = nullptr;
+};
+
+/// `F` is `Frame` as a walk sees it: const for the writer, mutable for
+/// the reader.
+template <typename F, typename Frame>
+concept Is = std::same_as<std::remove_const_t<F>, Frame>;
+
+/// The QoS identity every request frame appends: `qos_class` u8
+/// (0 interactive / 1 batch; anything else is a protocol violation, not
+/// a future lane) then `tenant`.
+void WalkQosTail(auto& io, auto& frame) {
+  if (!io.Tail()) return;  // pre-QoS frame: the defaults hold
+  io.U8(frame.qos_class);
+  io.String(frame.tenant);
+  if (frame.qos_class > WHYPROV_QOS_BATCH) {
+    io.Fail("non-canonical qos identity tail");
+  }
+}
+
+void Walk(auto& io, Is<EnumerateFrame> auto& frame) {
+  io.U64(frame.request_id);
+  io.String(frame.target);
+  io.U64(frame.max_members);
+  io.F64(frame.deadline_seconds);
+  io.U8(frame.stream);
+  io.U32(frame.batch_size);
+  WalkQosTail(io, frame);
+}
+
+void Walk(auto& io, Is<DecideFrame> auto& frame) {
+  io.U64(frame.request_id);
+  io.String(frame.target);
+  io.U8(frame.tree_class);
+  io.Strings(frame.candidate_facts);
+  io.F64(frame.deadline_seconds);
+  WalkQosTail(io, frame);
+}
+
+void Walk(auto& io, Is<ExplainFrame> auto& frame) {
+  io.U64(frame.request_id);
+  io.String(frame.target);
+  io.U64(frame.member_index);
+  io.F64(frame.deadline_seconds);
+  WalkQosTail(io, frame);
+}
+
+void Walk(auto& io, Is<DeltaFrame> auto& frame) {
+  io.U64(frame.request_id);
+  io.Strings(frame.added_facts);
+  io.Strings(frame.removed_facts);
+  io.F64(frame.deadline_seconds);
+  WalkQosTail(io, frame);
+}
+
+void Walk(auto& io, Is<StatsFrame> auto& frame) {
+  io.U64(frame.request_id);
+}
+
+void Walk(auto& io, Is<MembersFrame> auto& frame) {
+  io.U64(frame.request_id);
+  io.List(frame.members, [&](auto& member) { io.Strings(member); });
+}
+
+void Walk(auto& io, Is<FinalFrame> auto& frame) {
+  io.U64(frame.request_id);
+  io.U8(frame.status_code);
+  io.String(frame.status_message);
+  io.U8(frame.kind);
+  io.U64(frame.model_version);
+  switch (frame.kind) {
+    case kFrameEnumerate:
+      io.U64(frame.members_emitted);
+      io.U8(frame.enumerate_flags);
+      io.List(frame.members, [&](auto& member) { io.Strings(member); });
+      break;
+    case kFrameDecide:
+      io.U8(frame.verdict);
+      break;
+    case kFrameExplain:
+      io.U8(frame.has_explanation);
+      if (frame.has_explanation) {
+        io.Strings(frame.explanation_member);
+        io.String(frame.proof_tree);
+      }
+      break;
+    case kFrameDelta:
+      io.U8(frame.has_delta);
+      if (frame.has_delta) {
+        io.U64(frame.delta.model_version);
+        io.U64(frame.delta.facts_added);
+        io.U64(frame.delta.facts_removed);
+        io.U64(frame.delta.facts_derived);
+        io.U64(frame.delta.facts_deleted);
+        io.U64(frame.delta.facts_rederived);
+        io.U64(frame.delta.facts_touched);
+        io.U64(frame.delta.plans_retained);
+        io.U64(frame.delta.plans_invalidated);
+      }
+      break;
+    case kFrameStats:
+      break;
+    default:
+      io.Fail("final frame with unknown request kind");
+      break;
+  }
+}
+
+void Walk(auto& io, Is<ErrorFrame> auto& frame) {
+  io.U64(frame.request_id);
+  io.U8(frame.status_code);
+  io.String(frame.message);
+}
+
+void Walk(auto& io, Is<StatsReplyFrame> auto& frame) {
+  auto& stats = frame.stats;
+  io.U64(frame.request_id);
+  io.U64(stats.submitted);
+  io.U64(stats.rejected);
+  io.U64(stats.completed);
+  io.U64(stats.succeeded);
+  io.U64(stats.cancelled);
+  io.U64(stats.deadline_exceeded);
+  io.U64(stats.failed);
+  io.U64(stats.members_delivered);
+  io.U64(stats.queue_depth);
+  io.U64(stats.in_flight);
+  io.F64(stats.queries_per_second);
+  io.U64(stats.model_version);
+  io.U64(stats.retained_snapshots);
+  io.U64(stats.retained_snapshot_bytes);
+  io.U64(stats.snapshot_evictions);
+  io.Flag(stats.snapshot_alarm);
+  // Fuzzing once found the decoder reading any non-zero byte as "alarm
+  // set", which re-encodes as 1: only the bytes the writer emits decode.
+  if (stats.snapshot_alarm > 1) {
+    io.Fail("non-canonical snapshot_alarm flag");
+  }
+  io.U64(stats.version_skew);
+  io.U64(stats.num_shards);
+  io.U64(stats.wal_appends);
+  io.U64(stats.wal_bytes);
+  io.U64(stats.checkpoints_written);
+  io.U64(stats.recovery_replayed_deltas);
+  // Appended per-tenant section (u32 count + rows).
+  if (!io.Tail()) return;
+  io.List(frame.tenants, [&](auto& row) {
+    io.String(row.tenant);
+    io.U8(row.qos_class);
+    if (row.qos_class > WHYPROV_QOS_BATCH) {
+      io.Fail("non-canonical tenant stats lane");
+    }
+    io.U64(row.queued);
+    io.U64(row.served);
+    io.U64(row.rejected);
+    io.U64(row.cancelled);
+    io.F64(row.cost_served);
+    io.F64(row.queue_p50_seconds);
+    io.F64(row.queue_p99_seconds);
+  });
+  // Appended plan-simplify counters, after the tenant section.
+  if (!io.Tail()) return;
+  io.U64(stats.plans_simplified);
+  io.U64(stats.simplify_vars_removed);
+  io.U64(stats.simplify_clauses_removed);
+  io.U64(stats.simplify_micros);
+}
+
+template <typename Frame>
+std::string EncodeFrame(const Frame& frame) {
+  FieldWriter writer;
+  Walk(writer, frame);
+  return writer.Take();
+}
+
+template <typename Frame>
+util::Result<Frame> DecodeFrame(std::string_view body, const char* kind) {
+  FieldReader reader(body);
+  Frame frame;
+  Walk(reader, frame);
+  return reader.Finish(std::move(frame), kind);
 }
 
 }  // namespace
-
-// WireWriter/WireReader live in util/wire_format.cc (shared with the
-// on-disk storage formats); this file only frames and encodes.
 
 // --- framing ---------------------------------------------------------------
 
@@ -42,9 +312,7 @@ util::Status ReadFrame(util::Socket& socket, std::uint8_t* type,
     return status;  // kNotFound = clean EOF between frames
   }
   std::uint32_t length = 0;
-  for (int shift = 0, i = 0; shift < 32; shift += 8, ++i) {
-    length |= static_cast<std::uint32_t>(header[i]) << shift;
-  }
+  WireReader(header, sizeof(header)).GetU32(&length);
   if (length == 0) return Malformed("zero-length frame");
   if (length > max_frame_bytes) {
     return util::Status::InvalidArgument(
@@ -65,433 +333,44 @@ util::Status ReadFrame(util::Socket& socket, std::uint8_t* type,
   return util::Status::Ok();
 }
 
-// --- encode ----------------------------------------------------------------
+// --- encode/decode ---------------------------------------------------------
 
-namespace {
-
-/// The appended QoS identity tail every request frame carries (see the
-/// compatibility appendix: fields are only ever appended).
-void PutQosTail(WireWriter& writer, std::uint8_t qos_class,
-                const std::string& tenant) {
-  writer.PutU8(qos_class);
-  writer.PutString(tenant);
-}
-
-/// Reads the appended QoS identity if present; a frame ending at the
-/// pre-QoS boundary keeps the defaults. A present-but-invalid class
-/// poisons the decode through the canonicality check below.
-bool GetQosTail(WireReader& reader, std::uint8_t* qos_class,
-                std::string* tenant) {
-  if (reader.exhausted()) return true;  // pre-QoS frame: defaults hold
-  if (!reader.GetU8(qos_class)) return false;
-  if (!reader.GetString(tenant)) return false;
-  // The encoder only ever writes 0 or 1 (mirrors whyprov_qos_class);
-  // anything else is a protocol violation, not a future lane.
-  return *qos_class <= WHYPROV_QOS_BATCH;
-}
-
-}  // namespace
-
-std::string Encode(const EnumerateFrame& frame) {
-  WireWriter writer;
-  writer.PutU64(frame.request_id);
-  writer.PutString(frame.target);
-  writer.PutU64(frame.max_members);
-  writer.PutF64(frame.deadline_seconds);
-  writer.PutU8(frame.stream);
-  writer.PutU32(frame.batch_size);
-  PutQosTail(writer, frame.qos_class, frame.tenant);
-  return writer.Take();
-}
-
-std::string Encode(const DecideFrame& frame) {
-  WireWriter writer;
-  writer.PutU64(frame.request_id);
-  writer.PutString(frame.target);
-  writer.PutU8(frame.tree_class);
-  writer.PutStringList(frame.candidate_facts);
-  writer.PutF64(frame.deadline_seconds);
-  PutQosTail(writer, frame.qos_class, frame.tenant);
-  return writer.Take();
-}
-
-std::string Encode(const ExplainFrame& frame) {
-  WireWriter writer;
-  writer.PutU64(frame.request_id);
-  writer.PutString(frame.target);
-  writer.PutU64(frame.member_index);
-  writer.PutF64(frame.deadline_seconds);
-  PutQosTail(writer, frame.qos_class, frame.tenant);
-  return writer.Take();
-}
-
-std::string Encode(const DeltaFrame& frame) {
-  WireWriter writer;
-  writer.PutU64(frame.request_id);
-  writer.PutStringList(frame.added_facts);
-  writer.PutStringList(frame.removed_facts);
-  writer.PutF64(frame.deadline_seconds);
-  PutQosTail(writer, frame.qos_class, frame.tenant);
-  return writer.Take();
-}
-
-std::string Encode(const StatsFrame& frame) {
-  WireWriter writer;
-  writer.PutU64(frame.request_id);
-  return writer.Take();
-}
-
-namespace {
-
-void PutMembers(WireWriter& writer,
-                const std::vector<std::vector<std::string>>& members) {
-  writer.PutU32(static_cast<std::uint32_t>(members.size()));
-  for (const auto& member : members) writer.PutStringList(member);
-}
-
-bool GetMembers(WireReader& reader,
-                std::vector<std::vector<std::string>>* members) {
-  std::uint32_t count = 0;
-  if (!reader.GetU32(&count)) return false;
-  members->clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::vector<std::string> member;
-    if (!reader.GetStringList(&member)) return false;
-    members->push_back(std::move(member));
-  }
-  return true;
-}
-
-}  // namespace
-
-std::string Encode(const MembersFrame& frame) {
-  WireWriter writer;
-  writer.PutU64(frame.request_id);
-  PutMembers(writer, frame.members);
-  return writer.Take();
-}
-
-std::string Encode(const FinalFrame& frame) {
-  WireWriter writer;
-  writer.PutU64(frame.request_id);
-  writer.PutU8(frame.status_code);
-  writer.PutString(frame.status_message);
-  writer.PutU8(frame.kind);
-  writer.PutU64(frame.model_version);
-  switch (frame.kind) {
-    case kFrameEnumerate:
-      writer.PutU64(frame.members_emitted);
-      writer.PutU8(frame.enumerate_flags);
-      PutMembers(writer, frame.members);
-      break;
-    case kFrameDecide:
-      writer.PutU8(frame.verdict);
-      break;
-    case kFrameExplain:
-      writer.PutU8(frame.has_explanation);
-      if (frame.has_explanation) {
-        writer.PutStringList(frame.explanation_member);
-        writer.PutString(frame.proof_tree);
-      }
-      break;
-    case kFrameDelta:
-      writer.PutU8(frame.has_delta);
-      if (frame.has_delta) {
-        writer.PutU64(frame.delta.model_version);
-        writer.PutU64(frame.delta.facts_added);
-        writer.PutU64(frame.delta.facts_removed);
-        writer.PutU64(frame.delta.facts_derived);
-        writer.PutU64(frame.delta.facts_deleted);
-        writer.PutU64(frame.delta.facts_rederived);
-        writer.PutU64(frame.delta.facts_touched);
-        writer.PutU64(frame.delta.plans_retained);
-        writer.PutU64(frame.delta.plans_invalidated);
-      }
-      break;
-    default:
-      break;
-  }
-  return writer.Take();
-}
-
-std::string Encode(const ErrorFrame& frame) {
-  WireWriter writer;
-  writer.PutU64(frame.request_id);
-  writer.PutU8(frame.status_code);
-  writer.PutString(frame.message);
-  return writer.Take();
-}
-
-std::string Encode(const StatsReplyFrame& frame) {
-  WireWriter writer;
-  writer.PutU64(frame.request_id);
-  writer.PutU64(frame.stats.submitted);
-  writer.PutU64(frame.stats.rejected);
-  writer.PutU64(frame.stats.completed);
-  writer.PutU64(frame.stats.succeeded);
-  writer.PutU64(frame.stats.cancelled);
-  writer.PutU64(frame.stats.deadline_exceeded);
-  writer.PutU64(frame.stats.failed);
-  writer.PutU64(frame.stats.members_delivered);
-  writer.PutU64(frame.stats.queue_depth);
-  writer.PutU64(frame.stats.in_flight);
-  writer.PutF64(frame.stats.queries_per_second);
-  writer.PutU64(frame.stats.model_version);
-  writer.PutU64(frame.stats.retained_snapshots);
-  writer.PutU64(frame.stats.retained_snapshot_bytes);
-  writer.PutU64(frame.stats.snapshot_evictions);
-  writer.PutU8(frame.stats.snapshot_alarm ? 1 : 0);
-  writer.PutU64(frame.stats.version_skew);
-  writer.PutU64(frame.stats.num_shards);
-  writer.PutU64(frame.stats.wal_appends);
-  writer.PutU64(frame.stats.wal_bytes);
-  writer.PutU64(frame.stats.checkpoints_written);
-  writer.PutU64(frame.stats.recovery_replayed_deltas);
-  // Appended per-tenant section (u32 count + rows).
-  writer.PutU32(static_cast<std::uint32_t>(frame.tenants.size()));
-  for (const WireTenantStats& row : frame.tenants) {
-    writer.PutString(row.tenant);
-    writer.PutU8(row.qos_class);
-    writer.PutU64(row.queued);
-    writer.PutU64(row.served);
-    writer.PutU64(row.rejected);
-    writer.PutU64(row.cancelled);
-    writer.PutF64(row.cost_served);
-    writer.PutF64(row.queue_p50_seconds);
-    writer.PutF64(row.queue_p99_seconds);
-  }
-  // Appended plan-simplify counters (append-only tail after the tenant
-  // section; older decoders stop before it, older frames decode as zero).
-  writer.PutU64(frame.stats.plans_simplified);
-  writer.PutU64(frame.stats.simplify_vars_removed);
-  writer.PutU64(frame.stats.simplify_clauses_removed);
-  writer.PutU64(frame.stats.simplify_micros);
-  return writer.Take();
-}
-
-// --- decode ----------------------------------------------------------------
-
-namespace {
-
-/// Shared epilogue: a successful decode must have consumed every byte.
-template <typename Frame>
-util::Result<Frame> FinishDecode(const WireReader& reader, Frame frame,
-                                 const char* kind) {
-  if (!reader.ok()) {
-    return Malformed(
-        (std::string("truncated ") + kind + " body").c_str());
-  }
-  if (!reader.exhausted()) {
-    return Malformed(
-        (std::string("trailing bytes after ") + kind + " body").c_str());
-  }
-  return frame;
-}
-
-}  // namespace
+std::string Encode(const EnumerateFrame& frame) { return EncodeFrame(frame); }
+std::string Encode(const DecideFrame& frame) { return EncodeFrame(frame); }
+std::string Encode(const ExplainFrame& frame) { return EncodeFrame(frame); }
+std::string Encode(const DeltaFrame& frame) { return EncodeFrame(frame); }
+std::string Encode(const StatsFrame& frame) { return EncodeFrame(frame); }
+std::string Encode(const MembersFrame& frame) { return EncodeFrame(frame); }
+std::string Encode(const FinalFrame& frame) { return EncodeFrame(frame); }
+std::string Encode(const ErrorFrame& frame) { return EncodeFrame(frame); }
+std::string Encode(const StatsReplyFrame& frame) { return EncodeFrame(frame); }
 
 util::Result<EnumerateFrame> DecodeEnumerate(std::string_view body) {
-  WireReader reader(body);
-  EnumerateFrame frame;
-  reader.GetU64(&frame.request_id);
-  reader.GetString(&frame.target);
-  reader.GetU64(&frame.max_members);
-  reader.GetF64(&frame.deadline_seconds);
-  reader.GetU8(&frame.stream);
-  reader.GetU32(&frame.batch_size);
-  if (!GetQosTail(reader, &frame.qos_class, &frame.tenant)) {
-    return Malformed("non-canonical qos identity tail");
-  }
-  return FinishDecode(reader, std::move(frame), "enumerate");
+  return DecodeFrame<EnumerateFrame>(body, "enumerate body");
 }
-
 util::Result<DecideFrame> DecodeDecide(std::string_view body) {
-  WireReader reader(body);
-  DecideFrame frame;
-  reader.GetU64(&frame.request_id);
-  reader.GetString(&frame.target);
-  reader.GetU8(&frame.tree_class);
-  reader.GetStringList(&frame.candidate_facts);
-  reader.GetF64(&frame.deadline_seconds);
-  if (!GetQosTail(reader, &frame.qos_class, &frame.tenant)) {
-    return Malformed("non-canonical qos identity tail");
-  }
-  return FinishDecode(reader, std::move(frame), "decide");
+  return DecodeFrame<DecideFrame>(body, "decide body");
 }
-
 util::Result<ExplainFrame> DecodeExplain(std::string_view body) {
-  WireReader reader(body);
-  ExplainFrame frame;
-  reader.GetU64(&frame.request_id);
-  reader.GetString(&frame.target);
-  reader.GetU64(&frame.member_index);
-  reader.GetF64(&frame.deadline_seconds);
-  if (!GetQosTail(reader, &frame.qos_class, &frame.tenant)) {
-    return Malformed("non-canonical qos identity tail");
-  }
-  return FinishDecode(reader, std::move(frame), "explain");
+  return DecodeFrame<ExplainFrame>(body, "explain body");
 }
-
 util::Result<DeltaFrame> DecodeDelta(std::string_view body) {
-  WireReader reader(body);
-  DeltaFrame frame;
-  reader.GetU64(&frame.request_id);
-  reader.GetStringList(&frame.added_facts);
-  reader.GetStringList(&frame.removed_facts);
-  reader.GetF64(&frame.deadline_seconds);
-  if (!GetQosTail(reader, &frame.qos_class, &frame.tenant)) {
-    return Malformed("non-canonical qos identity tail");
-  }
-  return FinishDecode(reader, std::move(frame), "delta");
+  return DecodeFrame<DeltaFrame>(body, "delta body");
 }
-
 util::Result<StatsFrame> DecodeStats(std::string_view body) {
-  WireReader reader(body);
-  StatsFrame frame;
-  reader.GetU64(&frame.request_id);
-  return FinishDecode(reader, std::move(frame), "stats");
+  return DecodeFrame<StatsFrame>(body, "stats body");
 }
-
 util::Result<MembersFrame> DecodeMembers(std::string_view body) {
-  WireReader reader(body);
-  MembersFrame frame;
-  reader.GetU64(&frame.request_id);
-  GetMembers(reader, &frame.members);
-  return FinishDecode(reader, std::move(frame), "members");
+  return DecodeFrame<MembersFrame>(body, "members body");
 }
-
 util::Result<FinalFrame> DecodeFinal(std::string_view body) {
-  WireReader reader(body);
-  FinalFrame frame;
-  reader.GetU64(&frame.request_id);
-  reader.GetU8(&frame.status_code);
-  reader.GetString(&frame.status_message);
-  reader.GetU8(&frame.kind);
-  reader.GetU64(&frame.model_version);
-  switch (frame.kind) {
-    case kFrameEnumerate:
-      reader.GetU64(&frame.members_emitted);
-      reader.GetU8(&frame.enumerate_flags);
-      GetMembers(reader, &frame.members);
-      break;
-    case kFrameDecide:
-      reader.GetU8(&frame.verdict);
-      break;
-    case kFrameExplain:
-      reader.GetU8(&frame.has_explanation);
-      if (frame.has_explanation) {
-        reader.GetStringList(&frame.explanation_member);
-        reader.GetString(&frame.proof_tree);
-      }
-      break;
-    case kFrameDelta:
-      reader.GetU8(&frame.has_delta);
-      if (frame.has_delta) {
-        reader.GetU64(&frame.delta.model_version);
-        reader.GetU64(&frame.delta.facts_added);
-        reader.GetU64(&frame.delta.facts_removed);
-        reader.GetU64(&frame.delta.facts_derived);
-        reader.GetU64(&frame.delta.facts_deleted);
-        reader.GetU64(&frame.delta.facts_rederived);
-        reader.GetU64(&frame.delta.facts_touched);
-        reader.GetU64(&frame.delta.plans_retained);
-        reader.GetU64(&frame.delta.plans_invalidated);
-      }
-      break;
-    case kFrameStats:
-      break;
-    default:
-      return Malformed("final frame with unknown request kind");
-  }
-  return FinishDecode(reader, std::move(frame), "final");
+  return DecodeFrame<FinalFrame>(body, "final body");
 }
-
 util::Result<ErrorFrame> DecodeError(std::string_view body) {
-  WireReader reader(body);
-  ErrorFrame frame;
-  reader.GetU64(&frame.request_id);
-  reader.GetU8(&frame.status_code);
-  reader.GetString(&frame.message);
-  return FinishDecode(reader, std::move(frame), "error");
+  return DecodeFrame<ErrorFrame>(body, "error body");
 }
-
 util::Result<StatsReplyFrame> DecodeStatsReply(std::string_view body) {
-  WireReader reader(body);
-  StatsReplyFrame frame;
-  std::uint64_t value = 0;
-  std::uint8_t flag = 0;
-  reader.GetU64(&frame.request_id);
-  reader.GetU64(&frame.stats.submitted);
-  reader.GetU64(&frame.stats.rejected);
-  reader.GetU64(&frame.stats.completed);
-  reader.GetU64(&frame.stats.succeeded);
-  reader.GetU64(&frame.stats.cancelled);
-  reader.GetU64(&frame.stats.deadline_exceeded);
-  reader.GetU64(&frame.stats.failed);
-  reader.GetU64(&frame.stats.members_delivered);
-  if (reader.GetU64(&value)) {
-    frame.stats.queue_depth = static_cast<std::size_t>(value);
-  }
-  if (reader.GetU64(&value)) {
-    frame.stats.in_flight = static_cast<std::size_t>(value);
-  }
-  reader.GetF64(&frame.stats.queries_per_second);
-  reader.GetU64(&frame.stats.model_version);
-  if (reader.GetU64(&value)) {
-    frame.stats.retained_snapshots = static_cast<std::size_t>(value);
-  }
-  if (reader.GetU64(&value)) {
-    frame.stats.retained_snapshot_bytes = static_cast<std::size_t>(value);
-  }
-  reader.GetU64(&frame.stats.snapshot_evictions);
-  if (reader.GetU8(&flag)) {
-    // Fuzzing found this decoder accepting any non-zero byte as "alarm
-    // set", which broke the documented Encode/Decode symmetry (the
-    // encoder only ever writes 0 or 1). Reject non-canonical flags.
-    if (flag > 1) return Malformed("non-canonical snapshot_alarm flag");
-    frame.stats.snapshot_alarm = flag != 0;
-  }
-  reader.GetU64(&frame.stats.version_skew);
-  if (reader.GetU64(&value)) {
-    frame.stats.num_shards = static_cast<std::size_t>(value);
-  }
-  reader.GetU64(&frame.stats.wal_appends);
-  reader.GetU64(&frame.stats.wal_bytes);
-  reader.GetU64(&frame.stats.checkpoints_written);
-  reader.GetU64(&frame.stats.recovery_replayed_deltas);
-  // Appended per-tenant section; a frame ending at the pre-QoS boundary
-  // decodes with no rows.
-  if (!reader.exhausted()) {
-    std::uint32_t count = 0;
-    if (reader.GetU32(&count)) {
-      for (std::uint32_t i = 0; i < count && reader.ok(); ++i) {
-        WireTenantStats row;
-        reader.GetString(&row.tenant);
-        reader.GetU8(&row.qos_class);
-        if (row.qos_class > WHYPROV_QOS_BATCH) {
-          return Malformed("non-canonical tenant stats lane");
-        }
-        reader.GetU64(&row.queued);
-        reader.GetU64(&row.served);
-        reader.GetU64(&row.rejected);
-        reader.GetU64(&row.cancelled);
-        reader.GetF64(&row.cost_served);
-        reader.GetF64(&row.queue_p50_seconds);
-        reader.GetF64(&row.queue_p99_seconds);
-        frame.tenants.push_back(std::move(row));
-      }
-    }
-  }
-  // Appended plan-simplify counters; a frame ending at the pre-simplify
-  // boundary decodes as all-zero (WireReader poisons on a partial tail,
-  // which FinishDecode rejects).
-  if (!reader.exhausted()) {
-    reader.GetU64(&frame.stats.plans_simplified);
-    reader.GetU64(&frame.stats.simplify_vars_removed);
-    reader.GetU64(&frame.stats.simplify_clauses_removed);
-    reader.GetU64(&frame.stats.simplify_micros);
-  }
-  return FinishDecode(reader, std::move(frame), "stats reply");
+  return DecodeFrame<StatsReplyFrame>(body, "stats reply body");
 }
 
 }  // namespace whyprov::net

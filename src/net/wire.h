@@ -25,9 +25,10 @@
 // body decoding, so a bad client cannot wedge a session past its own
 // connection. The maximum frame size is kMaxFrameBytes on both sides.
 //
-// Encode/Decode pairs below are exactly symmetric — tests round-trip
-// every frame kind through them, and the server/client share them, so
-// there is a single definition of the byte layout.
+// Encode/Decode below are one walk per frame: wire.cc writes each kind's
+// field order once and runs it in both directions, tests pin every
+// kind's bytes, and the server/client share them, so there is a single
+// definition of the byte layout.
 
 #include <cstddef>
 #include <cstdint>
@@ -196,7 +197,7 @@ struct StatsReplyFrame {
   std::vector<WireTenantStats> tenants;
 };
 
-// --- encode/decode (exactly symmetric per kind) ----------------------------
+// --- encode/decode (one walk per frame kind) -------------------------------
 
 std::string Encode(const EnumerateFrame& frame);
 std::string Encode(const DecideFrame& frame);

@@ -5,31 +5,24 @@
 #include <string_view>
 #include <vector>
 
-#include "sat/solver_interface.h"
+#include "sat/cnf_formula.h"
 #include "sat/types.h"
 #include "util/status.h"
 
 namespace whyprov::sat {
 
-/// A CNF formula in a solver-independent form: clauses of DIMACS-style
-/// signed literals (1-based; negative = negated). Used by tests, the
-/// DIMACS reader/writer, and the exhaustive reference solver.
-struct CnfFormula {
-  int num_vars = 0;
-  std::vector<std::vector<int>> clauses;
-};
+// DIMACS CNF text for `CnfFormula`: DIMACS variable i is solver variable
+// i-1, a negative literal is a negated one. Used by tests, the
+// dimacs-pipe backend, and the exhaustive reference solver below.
 
 /// Parses DIMACS CNF text ("p cnf <vars> <clauses>" header, 'c' comments,
 /// zero-terminated clauses).
 util::Result<CnfFormula> ParseDimacs(std::string_view text);
 
-/// Renders a formula as DIMACS CNF text.
-std::string WriteDimacs(const CnfFormula& formula);
-
-/// Loads a formula into `solver`, creating variables as needed so that
-/// DIMACS variable i maps to solver variable i-1. Returns false if the
-/// formula is trivially unsatisfiable.
-bool LoadIntoSolver(const CnfFormula& formula, SolverInterface& solver);
+/// Renders a formula's variables and clauses as DIMACS CNF text, with
+/// `assumptions` appended as unit clauses. Hints are not rendered.
+std::string WriteDimacs(const CnfFormula& formula,
+                        const std::vector<Lit>& assumptions = {});
 
 /// Exhaustive truth-table satisfiability check (reference implementation
 /// for property tests; practical up to ~24 variables). Returns a model as

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -88,17 +87,17 @@ TEST(SolverTest, DuplicateLiteralsAreDeduplicated) {
 CnfFormula Pigeonhole(int holes) {
   const int pigeons = holes + 1;
   CnfFormula formula;
-  auto var = [&](int p, int h) { return p * holes + h + 1; };
+  auto var = [&](int p, int h) { return p * holes + h; };
   formula.num_vars = pigeons * holes;
   for (int p = 0; p < pigeons; ++p) {
-    std::vector<int> clause;
-    for (int h = 0; h < holes; ++h) clause.push_back(var(p, h));
+    std::vector<Lit> clause;
+    for (int h = 0; h < holes; ++h) clause.push_back(Pos(var(p, h)));
     formula.clauses.push_back(clause);
   }
   for (int h = 0; h < holes; ++h) {
     for (int p1 = 0; p1 < pigeons; ++p1) {
       for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
-        formula.clauses.push_back({-var(p1, h), -var(p2, h)});
+        formula.clauses.push_back({Neg(var(p1, h)), Neg(var(p2, h))});
       }
     }
   }
@@ -108,7 +107,8 @@ CnfFormula Pigeonhole(int holes) {
 TEST(SolverTest, PigeonholeIsUnsat) {
   for (int holes = 2; holes <= 7; ++holes) {
     Solver solver;
-    ASSERT_TRUE(LoadIntoSolver(Pigeonhole(holes), solver));
+    Pigeonhole(holes).LoadInto(solver);
+    ASSERT_TRUE(solver.ok());
     EXPECT_EQ(solver.Solve(), SolveResult::kUnsat) << "holes=" << holes;
   }
 }
@@ -150,7 +150,8 @@ TEST(SolverTest, IncrementalClauseAdditionAfterSolve) {
 
 TEST(SolverTest, ConflictBudgetReturnsUnknown) {
   Solver solver;
-  ASSERT_TRUE(LoadIntoSolver(Pigeonhole(8), solver));
+  Pigeonhole(8).LoadInto(solver);
+  ASSERT_TRUE(solver.ok());
   solver.SetConflictBudget(10);
   EXPECT_EQ(solver.Solve(), SolveResult::kUnknown);
 }
@@ -161,14 +162,16 @@ TEST(SolverTest, DeadlineHintDegradesToUnknownGracefully) {
   // burning conflicts a poll would chop mid-search. No interrupt check is
   // installed, so kUnknown can only come from the hint's budgeting.
   Solver hinted;
-  ASSERT_TRUE(LoadIntoSolver(Pigeonhole(8), hinted));
+  Pigeonhole(8).LoadInto(hinted);
+  ASSERT_TRUE(hinted.ok());
   hinted.SetDeadlineHint(std::chrono::steady_clock::now() -
                          std::chrono::milliseconds(1));
   EXPECT_EQ(hinted.Solve(), SolveResult::kUnknown);
 
   // A comfortable deadline leaves the search unimpeded.
   Solver relaxed;
-  ASSERT_TRUE(LoadIntoSolver(Pigeonhole(5), relaxed));
+  Pigeonhole(5).LoadInto(relaxed);
+  ASSERT_TRUE(relaxed.ok());
   relaxed.SetDeadlineHint(std::chrono::steady_clock::now() +
                           std::chrono::minutes(5));
   EXPECT_EQ(relaxed.Solve(), SolveResult::kUnsat);
@@ -184,7 +187,7 @@ TEST(DimacsTest, ParseWriteRoundTrip) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_EQ(parsed.value().num_vars, 3);
   ASSERT_EQ(parsed.value().clauses.size(), 2u);
-  EXPECT_EQ(parsed.value().clauses[0], (std::vector<int>{1, -2}));
+  EXPECT_EQ(parsed.value().clauses[0], (std::vector<Lit>{Pos(0), Neg(1)}));
   auto reparsed = ParseDimacs(WriteDimacs(parsed.value()));
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(reparsed.value().clauses, parsed.value().clauses);
@@ -205,12 +208,12 @@ CnfFormula RandomThreeCnf(util::Rng& rng, int num_vars, int num_clauses) {
   CnfFormula formula;
   formula.num_vars = num_vars;
   for (int i = 0; i < num_clauses; ++i) {
-    std::vector<int> clause;
+    std::vector<Lit> clause;
     while (clause.size() < 3) {
-      const int v = static_cast<int>(rng.UniformInt(num_vars)) + 1;
-      const int lit = rng.Bernoulli(0.5) ? v : -v;
+      const Var v = static_cast<Var>(rng.UniformInt(num_vars));
+      const Lit lit = Lit::Make(v, !rng.Bernoulli(0.5));
       if (std::find(clause.begin(), clause.end(), lit) == clause.end() &&
-          std::find(clause.begin(), clause.end(), -lit) == clause.end()) {
+          std::find(clause.begin(), clause.end(), ~lit) == clause.end()) {
         clause.push_back(lit);
       }
     }
@@ -228,8 +231,8 @@ TEST_P(RandomCnfTest, AgreesWithBruteForce) {
     const CnfFormula formula = RandomThreeCnf(rng, num_vars, num_clauses);
     const bool expected = BruteForceSat(formula);
     Solver solver;
-    const bool loaded = LoadIntoSolver(formula, solver);
-    if (!loaded) {
+    formula.LoadInto(solver);
+    if (!solver.ok()) {
       EXPECT_FALSE(expected);
       continue;
     }
@@ -240,9 +243,9 @@ TEST_P(RandomCnfTest, AgreesWithBruteForce) {
       // Verify the model.
       for (const auto& clause : formula.clauses) {
         bool satisfied = false;
-        for (int lit : clause) {
-          const Var v = std::abs(lit) - 1;
-          if ((lit > 0) == (solver.ModelValue(v) == LBool::kTrue)) {
+        for (Lit lit : clause) {
+          if (!lit.negated() ==
+              (solver.ModelValue(lit.var()) == LBool::kTrue)) {
             satisfied = true;
             break;
           }
@@ -271,8 +274,8 @@ TEST_P(ModelCountTest, EnumerationMatchesTruthTableCount) {
     bool all = true;
     for (const auto& clause : formula.clauses) {
       bool sat = false;
-      for (int lit : clause) {
-        if ((lit > 0) == ((a >> (std::abs(lit) - 1)) & 1)) {
+      for (Lit lit : clause) {
+        if (!lit.negated() == ((a >> lit.var()) & 1)) {
           sat = true;
           break;
         }
@@ -286,7 +289,8 @@ TEST_P(ModelCountTest, EnumerationMatchesTruthTableCount) {
   }
 
   Solver solver;
-  ASSERT_TRUE(LoadIntoSolver(formula, solver));
+  formula.LoadInto(solver);
+  ASSERT_TRUE(solver.ok());
   int found = 0;
   while (solver.Solve() == SolveResult::kSat) {
     ++found;

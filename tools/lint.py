@@ -34,6 +34,14 @@ Rules (each has a NOLINT category for per-line suppression):
       NOLINTBEGIN/END blocks are findings — blanket suppressions hide
       new violations.
 
+  whyprov-duplicate-type
+      A `struct` or `class` defined at namespace scope must have one
+      definition in src/: the same name defined in two files within the
+      same named namespace is a finding at each definition. Two such
+      definitions are an ODR violation that links silently and then
+      runs one type's destructor on the other's object. Types in an
+      anonymous namespace are file-local and exempt.
+
 Suppress a single line with its category and a reason, e.g.:
     socket_.SendAll(data, size);  // NOLINT(whyprov-raw-frame-io): ...
 """
@@ -90,6 +98,15 @@ SUPPRESS_RE = re.compile(r"NOLINT(?:NEXTLINE)?\(([\w\-/,: ]+)\)")
 
 # Identifier "checked" markers for whyprov-unchecked-value.
 CHECK_FORMS = ("ok", "has_value", "status")
+
+# The header text before a `{`, up to the previous `;`, `{` or `}`.
+NAMESPACE_HEADER_RE = re.compile(r"\bnamespace\s*([\w:]*)\s*$")
+EXTERN_HEADER_RE = re.compile(r"\bextern\s*\"[^\"]*\"\s*$")
+# `struct|class [[attr]] MACRO(args) Name [final] [: bases]` — but not
+# `enum class`, and not an out-of-line `Outer::Nested` definition.
+TYPE_HEADER_RE = re.compile(
+    r"(?<!enum)\s\b(struct|class)\s+(?:\[\[[^\]]*\]\]\s*)?"
+    r"(?:\w+\([^)]*\)\s*)?(\w+)\s*(?:final\s*)?(?::(?!:)[^{]*)?$")
 
 
 def strip_comments_and_strings(text):
@@ -261,7 +278,57 @@ def check_nolint_discipline(path, lines, findings):
                              "NOLINT without `(category): reason`", line)
 
 
-def lint_file(path, findings):
+def collect_type_definitions(path, text, definitions):
+    """Records each namespace-scope struct/class definition of a src/
+    file as definitions[(namespace, name)] -> [(path, line)]."""
+    if not str(relative(path)).startswith("src/"):
+        return
+    # One entry per open brace: a namespace name, "" for an anonymous
+    # namespace, None for an extern "C" block, False for anything else.
+    stack = []
+    header_start = 0
+    for i, c in enumerate(text):
+        if c in ";}":
+            if c == "}" and stack:
+                stack.pop()
+            header_start = i + 1
+        elif c == "{":
+            header = text[header_start:i]
+            header_start = i + 1
+            namespace = NAMESPACE_HEADER_RE.search(header)
+            if namespace:
+                stack.append(namespace.group(1))
+                continue
+            if EXTERN_HEADER_RE.search(header):
+                stack.append(None)
+                continue
+            scopes = [entry for entry in stack if entry is not None]
+            match = TYPE_HEADER_RE.search(" " + header)
+            if match and scopes and all(scopes):
+                line = text.count("\n", 0, i) + 1
+                key = ("::".join(scopes), match.group(2))
+                definitions.setdefault(key, []).append((path, line))
+            stack.append(False)
+
+
+def check_duplicate_types(definitions, findings):
+    for (namespace, name), places in sorted(definitions.items()):
+        if len({path for path, _ in places}) < 2:
+            continue
+        for path, line in places:
+            others = ", ".join(f"{relative(other)}:{other_line}"
+                               for other, other_line in places
+                               if other != path)
+            line_text = path.read_text(encoding="utf-8",
+                                       errors="replace").splitlines()
+            findings.add(path, line, "whyprov-duplicate-type",
+                         f"`{namespace}::{name}` is also defined at "
+                         f"{others}; keep one definition",
+                         line_text[line - 1],
+                         line_text[line - 2] if line > 1 else "")
+
+
+def lint_file(path, findings, definitions):
     raw = path.read_text(encoding="utf-8", errors="replace")
     stripped = strip_comments_and_strings(raw)
     stripped_lines = stripped.splitlines()
@@ -270,10 +337,12 @@ def lint_file(path, findings):
     check_unchecked_value(path, stripped, findings)
     check_raw_frame_io(path, stripped_lines, findings)
     check_nolint_discipline(path, raw_lines, findings)
+    collect_type_definitions(path, stripped, definitions)
 
 
 def main():
     findings = Findings()
+    definitions = {}
     count = 0
     for directory in LINT_DIRS:
         root = REPO_ROOT / directory
@@ -281,8 +350,9 @@ def main():
             continue
         for path in sorted(root.rglob("*")):
             if path.suffix in CXX_SUFFIXES and path.is_file():
-                lint_file(path, findings)
+                lint_file(path, findings, definitions)
                 count += 1
+    check_duplicate_types(definitions, findings)
     reported = findings.report()
     print(f"lint.py: {count} files, {reported} finding(s)")
     return 1 if reported else 0

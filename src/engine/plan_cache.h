@@ -19,8 +19,8 @@ namespace whyprov {
 
 /// Point-in-time snapshot of plan-cache effectiveness.
 struct PlanCacheStats {
-  std::size_t hits = 0;       ///< Get calls answered from the cache
-  std::size_t misses = 0;     ///< Get calls that found nothing (or stale)
+  std::size_t hits = 0;       ///< lookups answered from the cache
+  std::size_t misses = 0;     ///< lookups that found nothing (or stale)
   std::size_t evictions = 0;  ///< plans dropped to respect the capacity
   std::size_t invalidated = 0;  ///< plans dropped because a delta touched
                                 ///< their closure (or their stamp trailed
@@ -42,11 +42,11 @@ struct PlanCacheStats {
 /// A thread-safe LRU cache of query plans, keyed by (target fact,
 /// acyclicity encoding). Plans are immutable and handed out as
 /// shared_ptr, so an evicted plan stays valid for executions already
-/// holding it. Capacity 0 disables caching (every Get misses, Put is a
+/// holding it. Capacity 0 disables caching (every lookup misses, Put is a
 /// no-op) while still counting misses.
 ///
 /// Plans are version-stamped against the engine's monotonic model
-/// version. `Get` treats a plan whose stamp trails the expected version
+/// version. A lookup treats a plan whose stamp trails the expected version
 /// as missing (dropping it and counting an invalidation), so stale plans
 /// are rebuilt lazily on their next hit; `Entries`/`CountInvalidated`
 /// support the delta path's selective carry-over into a successor cache.
@@ -55,36 +55,17 @@ struct PlanCacheStats {
 /// one (key, version) compile the plan once — the first thread builds
 /// while the rest wait on a build latch and share the result (counted
 /// under `coalesced`), so a post-delta stampede on a hot target costs one
-/// compilation instead of one per requester. The raw Get/Put pair remains
-/// for callers that want the racy fallback; correctness never depends on
-/// single-flight building, only latency does.
+/// compilation instead of one per requester. `Put` fills a successor
+/// cache on the delta path; correctness never depends on single-flight
+/// building, only latency does.
 class PlanCache {
  public:
-  explicit PlanCache(std::size_t capacity) : capacity_(capacity) {}
-
-  /// A successor cache (after ApplyDelta): same capacity, counters carried
-  /// over from the predecessor so engine-level stats stay cumulative.
-  PlanCache(std::size_t capacity, const PlanCacheStats& carried)
-      : capacity_(capacity),
-        hits_(carried.hits),
-        misses_(carried.misses),
-        evictions_(carried.evictions),
-        invalidated_(carried.invalidated),
-        coalesced_(carried.coalesced),
-        plans_simplified_(carried.plans_simplified),
-        simplify_vars_removed_(carried.simplify_vars_removed),
-        simplify_clauses_removed_(carried.simplify_clauses_removed),
-        simplify_micros_(carried.simplify_micros) {}
-
-  /// Returns the cached plan for the key if present and stamped with
-  /// `expected_version`; a stale entry is dropped (counted under
-  /// `invalidated`) and reported as a miss so the caller rebuilds it.
-  std::shared_ptr<const provenance::QueryPlan> Get(
-      datalog::FactId target, provenance::AcyclicityEncoding acyclicity,
-      std::uint64_t expected_version = 0) EXCLUDES(mutex_) {
-    const util::MutexLock lock(mutex_);
-    return GetLocked(MakeKey(target, acyclicity), expected_version);
-  }
+  /// `carried` seeds the counters: a successor cache (after ApplyDelta)
+  /// carries its predecessor's over so engine-level stats stay
+  /// cumulative. Its `size` and `capacity` are ignored.
+  explicit PlanCache(std::size_t capacity,
+                     const PlanCacheStats& carried = PlanCacheStats())
+      : capacity_(capacity), stats_(carried) {}
 
   void Put(datalog::FactId target, provenance::AcyclicityEncoding acyclicity,
            std::shared_ptr<const provenance::QueryPlan> plan)
@@ -123,7 +104,7 @@ class PlanCache {
           builder = true;
         } else {
           flight = it->second;
-          ++coalesced_;
+          ++stats_.coalesced;
         }
       }
       if (builder) {
@@ -194,39 +175,30 @@ class PlanCache {
   }
 
   /// Records plans dropped by a delta's selective invalidation (they never
-  /// reach the successor cache, so Get cannot count them).
+  /// reach the successor cache, so no lookup can count them).
   void CountInvalidated(std::size_t count) EXCLUDES(mutex_) {
     const util::MutexLock lock(mutex_);
-    invalidated_ += count;
+    stats_.invalidated += count;
   }
 
   /// Records one plan build's inprocessing outcome (the builder thread of
   /// GetOrBuild calls this right after QueryPlan::Build).
   void RecordSimplify(const sat::SimplifyStats& stats) EXCLUDES(mutex_) {
     const util::MutexLock lock(mutex_);
-    ++plans_simplified_;
-    simplify_vars_removed_ += stats.vars_before - stats.vars_after;
-    simplify_clauses_removed_ +=
+    ++stats_.plans_simplified;
+    stats_.simplify_vars_removed += stats.vars_before - stats.vars_after;
+    stats_.simplify_clauses_removed +=
         stats.clauses_before > stats.clauses_after
             ? stats.clauses_before - stats.clauses_after
             : 0;
-    simplify_micros_ += static_cast<std::uint64_t>(stats.seconds * 1e6);
+    stats_.simplify_micros += static_cast<std::uint64_t>(stats.seconds * 1e6);
   }
 
   PlanCacheStats stats() const EXCLUDES(mutex_) {
     const util::MutexLock lock(mutex_);
-    PlanCacheStats stats;
-    stats.hits = hits_;
-    stats.misses = misses_;
-    stats.evictions = evictions_;
-    stats.invalidated = invalidated_;
-    stats.coalesced = coalesced_;
+    PlanCacheStats stats = stats_;
     stats.size = lru_.size();
     stats.capacity = capacity_;
-    stats.plans_simplified = plans_simplified_;
-    stats.simplify_vars_removed = simplify_vars_removed_;
-    stats.simplify_clauses_removed = simplify_clauses_removed_;
-    stats.simplify_micros = simplify_micros_;
     return stats;
   }
 
@@ -248,22 +220,24 @@ class PlanCache {
     std::shared_ptr<const provenance::QueryPlan> plan GUARDED_BY(mutex);
   };
 
-  /// Get with mutex_ already held (shared by Get and GetOrBuild).
+  /// The cached plan for the key if present and stamped with
+  /// `expected_version`; a stale entry is dropped (counted under
+  /// `invalidated`) and reported as a miss so the caller rebuilds it.
   std::shared_ptr<const provenance::QueryPlan> GetLocked(
       Key key, std::uint64_t expected_version) REQUIRES(mutex_) {
     auto it = index_.find(key);
     if (it == index_.end()) {
-      ++misses_;
+      ++stats_.misses;
       return nullptr;
     }
     if (it->second->second->model_version() != expected_version) {
       lru_.erase(it->second);
       index_.erase(it);
-      ++invalidated_;
-      ++misses_;
+      ++stats_.invalidated;
+      ++stats_.misses;
       return nullptr;
     }
-    ++hits_;
+    ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, it->second);  // bump to most-recent
     return it->second->second;
   }
@@ -283,7 +257,7 @@ class PlanCache {
     if (lru_.size() > capacity_) {
       index_.erase(lru_.back().first);
       lru_.pop_back();
-      ++evictions_;
+      ++stats_.evictions;
     }
   }
   using LruEntry =
@@ -298,15 +272,8 @@ class PlanCache {
   /// In-flight builds by key (see GetOrBuild).
   std::unordered_map<Key, std::shared_ptr<Flight>> flights_
       GUARDED_BY(mutex_);
-  std::size_t hits_ GUARDED_BY(mutex_) = 0;
-  std::size_t misses_ GUARDED_BY(mutex_) = 0;
-  std::size_t evictions_ GUARDED_BY(mutex_) = 0;
-  std::size_t invalidated_ GUARDED_BY(mutex_) = 0;
-  std::size_t coalesced_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t plans_simplified_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t simplify_vars_removed_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t simplify_clauses_removed_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t simplify_micros_ GUARDED_BY(mutex_) = 0;
+  /// Cumulative counters; `size` and `capacity` are filled by stats().
+  PlanCacheStats stats_ GUARDED_BY(mutex_);
 };
 
 }  // namespace whyprov

@@ -110,11 +110,10 @@ bool WriteOrFail(ServerSession& session, std::uint8_t type,
   {
     const util::MutexLock lock(session.mutex);
     session.failed = true;
-    for (auto& pending : session.queue) {
-      if (pending.ticket != nullptr) whyprov_ticket_cancel(pending.ticket);
-    }
-    if (session.active != nullptr) whyprov_ticket_cancel(session.active);
   }
+  // Push re-checks `failed` under the lock, so every ticket is either
+  // already queued (and cancelled here) or cancelled by Push itself.
+  CancelSession(session);
   session.space_cv.NotifyAll();
   return false;
 }

@@ -9,8 +9,7 @@ namespace whyprov::net {
 namespace {
 
 util::Status Malformed(std::string_view what) {
-  return util::Status::InvalidArgument("malformed frame: " +
-                                       std::string(what));
+  return util::Status::InvalidArgument("malformed frame: " + std::string(what));
 }
 
 // --- field walks ----------------------------------------------------------
@@ -157,9 +156,7 @@ void Walk(auto& io, Is<DeltaFrame> auto& frame) {
   WalkQosTail(io, frame);
 }
 
-void Walk(auto& io, Is<StatsFrame> auto& frame) {
-  io.U64(frame.request_id);
-}
+void Walk(auto& io, Is<StatsFrame> auto& frame) { io.U64(frame.request_id); }
 
 void Walk(auto& io, Is<MembersFrame> auto& frame) {
   io.U64(frame.request_id);

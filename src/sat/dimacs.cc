@@ -44,8 +44,8 @@ util::Result<CnfFormula> ParseDimacs(std::string_view text) {
       if (std::abs(value) > formula.num_vars) {
         return util::Status::Error("literal exceeds declared variable count");
       }
-      clause.push_back(Lit::Make(static_cast<Var>(std::abs(value) - 1),
-                                 value < 0));
+      const Var var = static_cast<Var>(std::abs(value) - 1);
+      clause.push_back(Lit::Make(var, value < 0));
     }
   }
   if (!clause.empty()) {
@@ -56,10 +56,9 @@ util::Result<CnfFormula> ParseDimacs(std::string_view text) {
 
 std::string WriteDimacs(const CnfFormula& formula,
                         const std::vector<Lit>& assumptions) {
+  const std::size_t num_clauses = formula.clauses.size() + assumptions.size();
   std::string out = "p cnf " + std::to_string(formula.num_vars) + " " +
-                    std::to_string(formula.clauses.size() +
-                                   assumptions.size()) +
-                    "\n";
+                    std::to_string(num_clauses) + "\n";
   auto put = [&out](Lit lit) {
     out += std::to_string(lit.negated() ? -(lit.var() + 1) : lit.var() + 1);
     out += ' ';

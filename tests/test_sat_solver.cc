@@ -244,8 +244,7 @@ TEST_P(RandomCnfTest, AgreesWithBruteForce) {
       for (const auto& clause : formula.clauses) {
         bool satisfied = false;
         for (Lit lit : clause) {
-          if (!lit.negated() ==
-              (solver.ModelValue(lit.var()) == LBool::kTrue)) {
+          if (EvalLit(solver.ModelValue(lit.var()), lit) == LBool::kTrue) {
             satisfied = true;
             break;
           }

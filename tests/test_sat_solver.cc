@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "sat/dimacs.h"
 #include "sat/solver.h"
 #include "sat/types.h"
+#include "scenarios/scenarios.h"
 #include "util/rng.h"
 
 namespace whyprov::sat {
@@ -304,6 +308,159 @@ TEST_P(ModelCountTest, EnumerationMatchesTruthTableCount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelCountTest, ::testing::Range(0, 20));
+
+// --- Golden search trajectories ------------------------------------------
+//
+// The CDCL search is a pure function of the loaded formula: the sharded
+// serving stack's byte-identical transcripts (ARCHITECTURE.md invariant
+// 4) and perfbench's conflict-budget screen both rest on that. These
+// cases pin the whole trajectory of fixed formulas, recorded once: every
+// SolverStats field plus a hash of the full model sequence of a
+// blocking-clause enumeration. A change to the solver's data layout must
+// leave them all as they are; a change that alters the search on purpose
+// has to re-record them and say why.
+
+struct Trajectory {
+  SolverStats stats;
+  int models = 0;
+  std::uint64_t model_hash = 0;
+};
+
+/// Enumerates up to `max_models` models of `formula`, blocking each one on
+/// the values of `selectors` the way the provenance enumerator blocks on
+/// fact selectors. The hash covers every variable of every model, in order.
+Trajectory RunTrajectory(const CnfFormula& formula,
+                         const std::vector<Lit>& selectors, int max_models,
+                         const SolverOptions& options = SolverOptions()) {
+  Solver solver(options);
+  formula.LoadInto(solver);
+  Trajectory out;
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a
+  auto mix = [&hash](std::uint64_t byte) {
+    hash = (hash ^ byte) * 0x100000001b3ull;
+  };
+  while (out.models < max_models && solver.ok() &&
+         solver.Solve() == SolveResult::kSat) {
+    ++out.models;
+    for (Var v = 0; v < solver.NumVars(); ++v) {
+      mix(static_cast<std::uint64_t>(solver.ModelValue(v)));
+    }
+    mix(0xff);
+    std::vector<Lit> blocking;
+    for (Lit l : selectors) blocking.push_back(solver.ModelLitTrue(l) ? ~l : l);
+    if (!solver.AddClause(blocking)) break;
+  }
+  out.stats = solver.stats();
+  out.model_hash = hash;
+  return out;
+}
+
+std::vector<Lit> AllPositive(int num_vars) {
+  std::vector<Lit> lits;
+  for (Var v = 0; v < num_vars; ++v) lits.push_back(Pos(v));
+  return lits;
+}
+
+/// The recorded values, in the order of RunTrajectory's output.
+struct Golden {
+  std::uint64_t decisions, propagations, conflicts, restarts, learnt_clauses,
+      deleted_clauses, minimized_literals;
+  int models;
+  std::uint64_t model_hash;
+};
+
+void ExpectTrajectory(const Trajectory& got, const Golden& want) {
+  const SolverStats& s = got.stats;
+  EXPECT_EQ(s.decisions, want.decisions);
+  EXPECT_EQ(s.propagations, want.propagations);
+  EXPECT_EQ(s.conflicts, want.conflicts);
+  EXPECT_EQ(s.restarts, want.restarts);
+  EXPECT_EQ(s.learnt_clauses, want.learnt_clauses);
+  EXPECT_EQ(s.deleted_clauses, want.deleted_clauses);
+  EXPECT_EQ(s.minimized_literals, want.minimized_literals);
+  EXPECT_EQ(got.models, want.models);
+  EXPECT_EQ(got.model_hash, want.model_hash);
+  // On a mismatch, print the row to paste when re-recording on purpose.
+  if (::testing::Test::HasFailure()) {
+    std::printf(
+        "got {%llu, %llu, %llu, %llu, %llu, %llu, %llu, %d, 0x%llxull}\n",
+        static_cast<unsigned long long>(s.decisions),
+        static_cast<unsigned long long>(s.propagations),
+        static_cast<unsigned long long>(s.conflicts),
+        static_cast<unsigned long long>(s.restarts),
+        static_cast<unsigned long long>(s.learnt_clauses),
+        static_cast<unsigned long long>(s.deleted_clauses),
+        static_cast<unsigned long long>(s.minimized_literals), got.models,
+        static_cast<unsigned long long>(got.model_hash));
+  }
+}
+
+TEST(GoldenTrajectoryTest, RandomThreeCnf) {
+  struct Case {
+    std::uint64_t seed;
+    int num_vars;
+    int num_clauses;
+    Golden want;
+  };
+  const Case cases[] = {
+      {1, 60, 256, {194, 1409, 36, 0, 36, 0, 367, 16, 0x44cf7b628639132dull}},
+      {2, 120, 490,
+       {1180, 22743, 748, 5, 748, 0, 1983, 16, 0xb8c8e990d326aae5ull}},
+      {3, 150, 639,
+       {3599, 92926, 3046, 14, 3035, 0, 7656, 0, 0xcbf29ce484222325ull}},
+      {4, 90, 400, {493, 8854, 422, 3, 413, 0, 688, 0, 0xcbf29ce484222325ull}},
+      {5, 200, 840,
+       {17451, 525604, 14484, 61, 14476, 7500, 44735, 0,
+        0xcbf29ce484222325ull}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("seed " + std::to_string(c.seed));
+    util::Rng rng(0x901d0000 + c.seed);
+    const CnfFormula formula = RandomThreeCnf(rng, c.num_vars, c.num_clauses);
+    ExpectTrajectory(RunTrajectory(formula, AllPositive(c.num_vars), 16),
+                     c.want);
+  }
+}
+
+TEST(GoldenTrajectoryTest, ScenarioPlanFormula) {
+  // A plan's execution formula (simplified, with its search hints),
+  // enumerated on its fact selectors like a served request.
+  const scenarios::GeneratedScenario scenario = scenarios::MakeTransClosure(
+      scenarios::GraphKind::kSocial, 40, 110, 20240611);
+  EngineOptions options;
+  options.sampling_seed = 1;
+  const Engine engine = scenario.MakeEngine(options);
+  const std::vector<datalog::FactId> targets = engine.SampleAnswers(1);
+  ASSERT_EQ(targets.size(), 1u);
+  const auto prepared = engine.Prepare(targets[0]);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().message();
+  const auto& plan = prepared.value().plan();
+  std::vector<Lit> selectors;
+  for (const datalog::FactId leaf : plan->encoding().database_leaves) {
+    const Var selector = plan->encoding().node_vars.at(leaf);
+    selectors.push_back(plan->SolverLitFor(selector));
+  }
+  ExpectTrajectory(
+      RunTrajectory(plan->formula(), selectors, 16),
+      {1657, 21451, 278, 2, 278, 0, 1083, 16, 0xb7d5384ce52de965ull});
+}
+
+TEST(GoldenTrajectoryTest, FrequentReductions) {
+  // reduce_base=8, reduce_increment=4: the learnt database is reduced
+  // every few conflicts, so deletion and arena compaction run many times
+  // while the enumeration keeps adding blocking clauses.
+  SolverOptions options;
+  options.reduce_base = 8;
+  options.reduce_increment = 4;
+  util::Rng rng(0x901d00ff);
+  const CnfFormula formula = RandomThreeCnf(rng, 150, 610);
+  const Trajectory got =
+      RunTrajectory(formula, AllPositive(150), 16, options);
+  EXPECT_EQ(got.models, 16);
+  EXPECT_GT(got.stats.deleted_clauses, 100u);
+  ExpectTrajectory(
+      got, {1339, 27047, 781, 5, 781, 700, 2390, 16, 0x9fd94ca30955aab5ull});
+}
 
 }  // namespace
 }  // namespace whyprov::sat

@@ -2,6 +2,7 @@
 #define WHYPROV_SAT_CNF_FORMULA_H_
 
 #include <cstddef>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -51,9 +52,10 @@ class ClauseRecorder final : public SolverInterface {
   Var NewVar() override { return out_->num_vars++; }
   int NumVars() const override { return out_->num_vars; }
 
-  bool AddClause(std::vector<Lit> lits) override {
+  using SolverInterface::AddClause;
+  bool AddClause(std::span<const Lit> lits) override {
     if (lits.empty()) out_->contains_empty_clause = true;
-    out_->clauses.push_back(std::move(lits));
+    out_->clauses.emplace_back(lits.begin(), lits.end());
     return !out_->contains_empty_clause;
   }
 

@@ -43,13 +43,13 @@ Var DimacsPipeSolver::NewVar() {
   return formula_.num_vars++;
 }
 
-bool DimacsPipeSolver::AddClause(std::vector<Lit> lits) {
+bool DimacsPipeSolver::AddClause(std::span<const Lit> lits) {
   if (!ok_) return false;
   if (lits.empty()) {
     ok_ = false;
     return false;
   }
-  formula_.clauses.push_back(std::move(lits));
+  formula_.clauses.emplace_back(lits.begin(), lits.end());
   return true;
 }
 

@@ -2,6 +2,7 @@
 #define WHYPROV_SAT_DIMACS_PIPE_SOLVER_H_
 
 #include <string>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -41,7 +42,8 @@ class DimacsPipeSolver : public SolverInterface {
 
   Var NewVar() override;
   int NumVars() const override { return formula_.num_vars; }
-  bool AddClause(std::vector<Lit> lits) override;
+  using SolverInterface::AddClause;
+  bool AddClause(std::span<const Lit> lits) override;
   SolveResult Solve(const std::vector<Lit>& assumptions = {}) override;
   LBool ModelValue(Var v) const override { return model_[v]; }
   const SolverStats& stats() const override { return stats_; }

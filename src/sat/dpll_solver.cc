@@ -13,9 +13,10 @@ Var DpllSolver::NewVar() {
   return num_vars_++;
 }
 
-bool DpllSolver::AddClause(std::vector<Lit> lits) {
+bool DpllSolver::AddClause(std::span<const Lit> input) {
   if (!ok_) return false;
   // Level-0 simplification: drop duplicates, detect tautologies.
+  std::vector<Lit> lits(input.begin(), input.end());
   std::sort(lits.begin(), lits.end());
   lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
   for (std::size_t i = 1; i < lits.size(); ++i) {

@@ -2,6 +2,7 @@
 #define WHYPROV_SAT_DPLL_SOLVER_H_
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -29,7 +30,8 @@ class DpllSolver : public SolverInterface {
 
   Var NewVar() override;
   int NumVars() const override { return num_vars_; }
-  bool AddClause(std::vector<Lit> lits) override;
+  using SolverInterface::AddClause;
+  bool AddClause(std::span<const Lit> lits) override;
   SolveResult Solve(const std::vector<Lit>& assumptions = {}) override;
   LBool ModelValue(Var v) const override { return model_[v]; }
   const SolverStats& stats() const override { return stats_; }

@@ -35,39 +35,43 @@ Solver::Solver(SolverOptions options) : options_(options) {
 }
 
 Var Solver::NewVar() {
-  const Var v = static_cast<Var>(assigns_.size());
-  assigns_.push_back(LBool::kUndef);
-  // Saved phase: `true` means the last (or preferred) value is FALSE, so a
+  const Var v = static_cast<Var>(level_.size());
+  values_.push_back(LBool::kUndef);
+  values_.push_back(LBool::kUndef);
+  // Saved phase: 1 means the last (or preferred) value is FALSE, so a
   // fresh variable is first decided negative (the MiniSat default).
-  polarity_.push_back(true);
+  polarity_.push_back(1);
   level_.push_back(0);
   reason_.push_back(kNoClause);
   activity_.push_back(0.0);
   heap_position_.push_back(-1);
-  seen_.push_back(false);
+  seen_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
   HeapInsert(v);
   return v;
 }
 
-bool Solver::AddClause(std::vector<Lit> lits) {
+bool Solver::AddClause(std::span<const Lit> lits) {
   if (!ok_) return false;
   CancelUntil(0);
 
   // Simplify: sort, dedup, drop literals false at level 0, detect
   // tautologies and literals true at level 0.
-  std::sort(lits.begin(), lits.end());
-  std::vector<Lit> simplified;
+  std::vector<Lit>& simplified = add_buffer_;
+  simplified.assign(lits.begin(), lits.end());
+  std::sort(simplified.begin(), simplified.end());
+  std::size_t kept = 0;
   Lit previous = kUndefLit;
-  for (Lit l : lits) {
+  for (Lit l : simplified) {
     if (Value(l) == LBool::kTrue || (previous.defined() && l == ~previous)) {
       return true;  // satisfied or tautological: vacuous
     }
     if (Value(l) == LBool::kFalse || l == previous) continue;
-    simplified.push_back(l);
+    simplified[kept++] = l;
     previous = l;
   }
+  simplified.resize(kept);
 
   if (simplified.empty()) {
     ok_ = false;
@@ -78,35 +82,29 @@ bool Solver::AddClause(std::vector<Lit> lits) {
     if (Propagate() != kNoClause) ok_ = false;
     return ok_;
   }
-  const ClauseRef ref = arena_.Allocate(std::move(simplified), false);
-  problem_clauses_.push_back(ref);
+  const ClauseRef ref = arena_.Allocate(simplified, false);
+  problem_words_ += arena_.WordsOf(ref);
   AttachClause(ref);
   return true;
 }
 
 void Solver::AttachClause(ClauseRef ref) {
-  const Clause& c = arena_.At(ref);
+  const Clause c = arena_.At(ref);
   assert(c.size() >= 2);
-  watches_[(~c[0]).index()].push_back(Watcher{ref, c[1]});
-  watches_[(~c[1]).index()].push_back(Watcher{ref, c[0]});
-}
-
-void Solver::UncheckedEnqueue(Lit l, ClauseRef reason) {
-  assert(Value(l) == LBool::kUndef);
-  const Var v = l.var();
-  assigns_[v] = l.negated() ? LBool::kFalse : LBool::kTrue;
-  level_[v] = DecisionLevel();
-  reason_[v] = reason;
-  trail_.push_back(l);
+  const ClauseRef tagged = c.size() == 2 ? ref | 1 : ref;
+  watches_[(~c[0]).index()].push_back(Watcher{tagged, c[1]});
+  watches_[(~c[1]).index()].push_back(Watcher{tagged, c[0]});
 }
 
 void Solver::CancelUntil(int target_level) {
   if (DecisionLevel() <= target_level) return;
   const std::size_t bound = trail_lim_[target_level];
   for (std::size_t i = trail_.size(); i > bound; --i) {
-    const Var v = trail_[i - 1].var();
-    if (options_.phase_saving) polarity_[v] = trail_[i - 1].negated();
-    assigns_[v] = LBool::kUndef;
+    const Lit l = trail_[i - 1];
+    const Var v = l.var();
+    if (options_.phase_saving) polarity_[v] = l.negated() ? 1 : 0;
+    values_[l.index()] = LBool::kUndef;
+    values_[(~l).index()] = LBool::kUndef;
     reason_[v] = kNoClause;
     if (heap_position_[v] < 0) HeapInsert(v);
   }
@@ -118,68 +116,103 @@ void Solver::CancelUntil(int target_level) {
 ClauseRef Solver::Propagate() {
   while (propagate_head_ < trail_.size()) {
     const Lit p = trail_[propagate_head_++];
+    const Lit false_lit = ~p;
     ++stats_.propagations;
     std::vector<Watcher>& watchers = watches_[p.index()];
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < watchers.size(); ++i) {
-      const Watcher w = watchers[i];
+    Watcher* const begin = watchers.data();
+    Watcher* const end = begin + watchers.size();
+    Watcher* keep = begin;
+    for (Watcher* i = begin; i != end;) {
+      const Watcher w = *i++;
       // Fast path: the blocker already satisfies the clause.
-      if (Value(w.blocker) == LBool::kTrue) {
-        watchers[keep++] = w;
+      const LBool blocker_value = Value(w.blocker);
+      if (blocker_value == LBool::kTrue) {
+        *keep++ = w;
         continue;
       }
-      Clause& c = arena_.At(w.clause);
-      if (c.deleted) continue;  // drop watcher of a deleted clause
-      // Normalise so that the false literal ~p is at position 1.
-      const Lit false_lit = ~p;
-      if (c[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
-      assert(c[1] == false_lit);
-      // If the first literal is true the clause is satisfied.
-      if (Value(c[0]) == LBool::kTrue) {
-        watchers[keep++] = Watcher{w.clause, c[0]};
-        continue;
-      }
-      // Look for a new literal to watch.
-      bool moved = false;
-      for (std::size_t k = 2; k < c.size(); ++k) {
-        if (Value(c[k]) != LBool::kFalse) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[(~c[1]).index()].push_back(Watcher{w.clause, c[0]});
-          moved = true;
-          break;
+      ClauseRef conflict = kNoClause;
+      if (w.binary()) {
+        // The blocker is the other literal: the clause is unit or false.
+        *keep++ = w;
+        if (blocker_value == LBool::kUndef) {
+          UncheckedEnqueue(w.blocker, w.clause());
+          continue;
         }
-      }
-      if (moved) continue;
-      // Clause is unit or conflicting.
-      watchers[keep++] = Watcher{w.clause, c[0]};
-      if (Value(c[0]) == LBool::kFalse) {
-        // Conflict: keep the remaining watchers and bail out.
-        for (std::size_t j = i + 1; j < watchers.size(); ++j) {
-          watchers[keep++] = watchers[j];
+        // Analyze reads a conflict clause as propagation ordered it.
+        Clause c = arena_.At(w.clause());
+        c.Set(0, w.blocker);
+        c.Set(1, false_lit);
+        conflict = w.clause();
+      } else {
+        Clause c = arena_.At(w.clause());
+        // Normalise so that the false literal ~p is at position 1.
+        if (c[0] == false_lit) c.Swap(0, 1);
+        assert(c[1] == false_lit);
+        // If the first literal is true the clause is satisfied.
+        const Lit first = c[0];
+        const LBool first_value = Value(first);
+        if (first_value == LBool::kTrue) {
+          *keep++ = Watcher{w.tagged, first};
+          continue;
         }
-        watchers.resize(keep);
-        propagate_head_ = trail_.size();
-        return w.clause;
+        // Look for a new literal to watch.
+        bool moved = false;
+        const std::uint32_t size = c.size();
+        for (std::uint32_t k = 2; k < size; ++k) {
+          const Lit candidate = c[k];
+          if (Value(candidate) != LBool::kFalse) {
+            c.Set(1, candidate);
+            c.Set(k, false_lit);
+            watches_[(~candidate).index()].push_back(Watcher{w.tagged, first});
+            moved = true;
+            break;
+          }
+        }
+        if (moved) continue;
+        // Clause is unit or conflicting.
+        *keep++ = Watcher{w.tagged, first};
+        if (first_value == LBool::kUndef) {
+          UncheckedEnqueue(first, w.clause());
+          continue;
+        }
+        conflict = w.clause();
       }
-      UncheckedEnqueue(c[0], w.clause);
+      // Conflict: keep the remaining watchers and bail out.
+      while (i != end) *keep++ = *i++;
+      watchers.resize(static_cast<std::size_t>(keep - begin));
+      propagate_head_ = trail_.size();
+      return conflict;
     }
-    watchers.resize(keep);
+    watchers.resize(static_cast<std::size_t>(keep - begin));
   }
   return kNoClause;
 }
 
+Clause Solver::ReasonFor(Lit implied) {
+  Clause c = arena_.At(reason_[implied.var()]);
+  // Propagation leaves a binary clause as it was attached; bring the
+  // implied literal to the front, where longer reasons keep it.
+  if (c.size() == 2 && c[0] != implied) c.Swap(0, 1);
+  assert(c[0] == implied);
+  return c;
+}
+
 int Solver::ComputeLbd(const std::vector<Lit>& lits) {
-  // Count distinct decision levels; the scratch vector doubles as a set.
-  thread_local std::vector<int> seen_levels;
-  seen_levels.clear();
+  // Count distinct decision levels: a level is counted once it carries
+  // this call's stamp.
+  if (level_stamp_.size() <= static_cast<std::size_t>(DecisionLevel())) {
+    level_stamp_.resize(static_cast<std::size_t>(DecisionLevel()) + 1, 0);
+  }
+  ++lbd_stamp_;
+  int count = 0;
   for (Lit l : lits) {
-    const int lvl = level_[l.var()];
-    if (std::find(seen_levels.begin(), seen_levels.end(), lvl) ==
-        seen_levels.end()) {
-      seen_levels.push_back(lvl);
+    std::uint64_t& stamp = level_stamp_[level_[l.var()]];
+    if (stamp != lbd_stamp_) {
+      stamp = lbd_stamp_;
+      ++count;
     }
   }
-  return static_cast<int>(seen_levels.size());
+  return count;
 }
 
 void Solver::Analyze(ClauseRef conflict, std::vector<Lit>& learnt,
@@ -190,17 +223,15 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>& learnt,
   int counter = 0;  // literals of the current level awaiting resolution
   Lit p = kUndefLit;
   std::size_t trail_index = trail_.size();
-  ClauseRef reason = conflict;
 
   do {
-    assert(reason != kNoClause);
-    Clause& c = arena_.At(reason);
-    if (c.learnt) ClauseBumpActivity(c);
-    for (std::size_t i = (p == kUndefLit ? 0 : 1); i < c.size(); ++i) {
+    Clause c = p == kUndefLit ? arena_.At(conflict) : ReasonFor(p);
+    if (c.learnt()) ClauseBumpActivity(c);
+    for (std::uint32_t i = (p == kUndefLit ? 0 : 1); i < c.size(); ++i) {
       const Lit q = c[i];
       const Var v = q.var();
       if (seen_[v] || level_[v] == 0) continue;
-      seen_[v] = true;
+      seen_[v] = 1;
       analyze_clear_.push_back(q);
       VarBumpActivity(v);
       if (level_[v] >= DecisionLevel()) {
@@ -212,8 +243,7 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>& learnt,
     // Select the next literal of the current level to resolve on.
     while (!seen_[trail_[trail_index - 1].var()]) --trail_index;
     p = trail_[--trail_index];
-    reason = reason_[p.var()];
-    seen_[p.var()] = false;
+    seen_[p.var()] = 0;
     --counter;
   } while (counter > 0);
   learnt[0] = ~p;
@@ -250,7 +280,7 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>& learnt,
 
   lbd = ComputeLbd(learnt);
 
-  for (Lit l : analyze_clear_) seen_[l.var()] = false;
+  for (Lit l : analyze_clear_) seen_[l.var()] = 0;
   analyze_clear_.clear();
 }
 
@@ -264,8 +294,8 @@ bool Solver::LitRedundant(Lit l, std::uint32_t abstract_levels) {
     const Lit current = analyze_stack_.back();
     analyze_stack_.pop_back();
     assert(reason_[current.var()] != kNoClause);
-    const Clause& c = arena_.At(reason_[current.var()]);
-    for (std::size_t i = 1; i < c.size(); ++i) {
+    const Clause c = ReasonFor(~current);
+    for (std::uint32_t i = 1; i < c.size(); ++i) {
       const Lit q = c[i];
       const Var v = q.var();
       if (seen_[v] || level_[v] == 0) continue;
@@ -273,12 +303,12 @@ bool Solver::LitRedundant(Lit l, std::uint32_t abstract_levels) {
           ((1u << (level_[v] & 31)) & abstract_levels) == 0) {
         // Not removable: undo the marks added during this check.
         for (std::size_t j = top; j < analyze_clear_.size(); ++j) {
-          seen_[analyze_clear_[j].var()] = false;
+          seen_[analyze_clear_[j].var()] = 0;
         }
         analyze_clear_.resize(top);
         return false;
       }
-      seen_[v] = true;
+      seen_[v] = 1;
       analyze_clear_.push_back(q);
       analyze_stack_.push_back(q);
     }
@@ -295,11 +325,12 @@ void Solver::VarBumpActivity(Var v) {
   if (heap_position_[v] >= 0) HeapUpdate(v);
 }
 
-void Solver::ClauseBumpActivity(Clause& c) {
-  c.activity += clause_inc_;
-  if (c.activity > 1e20) {
+void Solver::ClauseBumpActivity(Clause c) {
+  c.set_activity(c.activity() + clause_inc_);
+  if (c.activity() > 1e20) {
     for (ClauseRef ref : learnt_clauses_) {
-      arena_.At(ref).activity *= 1e-20;
+      Clause learnt = arena_.At(ref);
+      learnt.set_activity(learnt.activity() * 1e-20);
     }
     clause_inc_ *= 1e-20;
   }
@@ -370,38 +401,68 @@ void Solver::ReduceDB() {
   // clauses currently locked as reasons.
   std::sort(learnt_clauses_.begin(), learnt_clauses_.end(),
             [&](ClauseRef a, ClauseRef b) {
-              const Clause& ca = arena_.At(a);
-              const Clause& cb = arena_.At(b);
-              if (ca.lbd != cb.lbd) return ca.lbd > cb.lbd;
-              return ca.activity < cb.activity;
+              const Clause ca = arena_.At(a);
+              const Clause cb = arena_.At(b);
+              if (ca.lbd() != cb.lbd()) return ca.lbd() > cb.lbd();
+              return ca.activity() < cb.activity();
             });
   auto locked = [&](ClauseRef ref) {
-    const Clause& c = arena_.At(ref);
+    const Clause c = arena_.At(ref);
     return Value(c[0]) == LBool::kTrue && reason_[c[0].var()] == ref;
   };
   const std::size_t target = learnt_clauses_.size() / 2;
-  std::vector<ClauseRef> kept;
-  kept.reserve(learnt_clauses_.size());
+  std::size_t kept = 0;
   std::size_t removed = 0;
   for (ClauseRef ref : learnt_clauses_) {
-    Clause& c = arena_.At(ref);
-    if (removed < target && c.lbd > 2 && c.size() > 2 && !locked(ref)) {
-      arena_.Delete(ref);
+    const Clause c = arena_.At(ref);
+    if (removed < target && c.lbd() > 2 && c.size() > 2 && !locked(ref)) {
+      arena_.Free(ref);
       ++removed;
       ++stats_.deleted_clauses;
     } else {
-      kept.push_back(ref);
+      learnt_clauses_[kept++] = ref;
     }
   }
-  learnt_clauses_ = std::move(kept);
-  // Watchers of deleted clauses are dropped lazily during propagation.
+  learnt_clauses_.resize(kept);
+  CollectGarbage();
+}
+
+void Solver::CollectGarbage() {
+  ClauseArena to;
+  arena_.MoveLiveTo(to);
+  // Every reference the solver holds moves with its clause; freed
+  // clauses lose their watchers. Surviving watchers keep their order, so
+  // propagation visits clauses exactly as it would have.
+  for (std::vector<Watcher>& watchers : watches_) {
+    std::size_t keep = 0;
+    for (const Watcher& w : watchers) {
+      if (arena_.At(w.clause()).deleted()) continue;
+      const ClauseRef moved = arena_.Forwarded(w.clause());
+      watchers[keep++] = Watcher{w.binary() ? moved | 1 : moved, w.blocker};
+    }
+    watchers.resize(keep);
+  }
+  for (Lit l : trail_) {
+    ClauseRef& reason = reason_[l.var()];
+    if (reason != kNoClause) reason = arena_.Forwarded(reason);
+  }
+  for (ClauseRef& ref : learnt_clauses_) ref = arena_.Forwarded(ref);
+  arena_ = std::move(to);
+}
+
+Solver::ArenaUsage Solver::arena_usage() const {
+  ArenaUsage usage;
+  usage.capacity = arena_.capacity();
+  usage.live_words = problem_words_;
+  for (ClauseRef ref : learnt_clauses_) usage.live_words += arena_.WordsOf(ref);
+  return usage;
 }
 
 SolveResult Solver::Search(std::int64_t conflicts_allowed,
                            const std::vector<Lit>& assumptions) {
   std::int64_t conflicts_here = 0;
   std::int64_t steps = 0;
-  std::vector<Lit> learnt;
+  std::vector<Lit>& learnt = learnt_buffer_;
 
   while (true) {
     // Cooperative interruption (deadlines, cancellation), amortised so
@@ -424,12 +485,12 @@ SolveResult Solver::Search(std::int64_t conflicts_allowed,
         UncheckedEnqueue(learnt[0], kNoClause);
       } else {
         const ClauseRef ref = arena_.Allocate(learnt, true);
-        Clause& c = arena_.At(ref);
-        c.lbd = lbd;
+        Clause c = arena_.At(ref);
+        c.set_lbd(static_cast<std::uint32_t>(lbd));
         learnt_clauses_.push_back(ref);
         ++stats_.learnt_clauses;
         AttachClause(ref);
-        ClauseBumpActivity(c);
+        ClauseBumpActivity(arena_.At(ref));
         UncheckedEnqueue(learnt[0], ref);
       }
       VarDecayActivity();
@@ -473,7 +534,10 @@ SolveResult Solver::Search(std::int64_t conflicts_allowed,
       next = PickBranchLit();
       if (next == kUndefLit) {
         // All variables assigned: a model.
-        model_.assign(assigns_.begin(), assigns_.end());
+        model_.resize(level_.size());
+        for (std::size_t v = 0; v < model_.size(); ++v) {
+          model_[v] = values_[2 * v];
+        }
         CancelUntil(0);
         return SolveResult::kSat;
       }

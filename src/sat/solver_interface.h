@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -66,10 +68,14 @@ class SolverInterface {
 
   /// Adds a clause (over existing variables). Returns false iff the clause
   /// makes the formula trivially unsatisfiable. Safe to call between
-  /// Solve() calls.
-  virtual bool AddClause(std::vector<Lit> lits) = 0;
+  /// Solve() calls. Backends copy what they keep: `lits` is only read.
+  virtual bool AddClause(std::span<const Lit> lits) = 0;
 
-  /// Convenience single-, two- and three-literal forms.
+  /// Convenience forms. A backend that overrides AddClause re-exports
+  /// these with `using SolverInterface::AddClause`.
+  bool AddClause(std::initializer_list<Lit> lits) {
+    return AddClause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
   bool AddUnit(Lit a) { return AddClause({a}); }
   bool AddBinary(Lit a, Lit b) { return AddClause({a, b}); }
   bool AddTernary(Lit a, Lit b, Lit c) { return AddClause({a, b, c}); }

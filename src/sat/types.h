@@ -24,6 +24,9 @@ class Lit {
     return Lit(v + v + (negated ? 1 : 0));
   }
 
+  /// The literal whose index() is `index` (an index from a valid literal).
+  static constexpr Lit FromIndex(std::int32_t index) { return Lit(index); }
+
   /// The underlying variable.
   constexpr Var var() const { return code_ >> 1; }
 

@@ -229,19 +229,21 @@ std::optional<std::vector<dl::Fact>> Enumeration::Next() {
     hit_member_cap_ = true;
     return std::nullopt;
   }
-  if (timeout_seconds_ > 0 && clock_.ElapsedSeconds() > timeout_seconds_) {
+  if (timeout_at_ && std::chrono::steady_clock::now() >= *timeout_at_) {
     hit_timeout_ = true;
     return std::nullopt;
   }
   std::optional<std::vector<dl::Fact>> member = impl_->Next();
   if (!member.has_value()) {
     if (impl_->interrupted()) {
-      // The token fired mid-solve; explicit cancel wins the classification
-      // (both can be true when a cancelled request also had a deadline).
+      // The token or the timeout fired mid-solve; explicit cancel wins the
+      // classification, then the request deadline, then the timeout.
       if (cancel_.cancelled()) {
         cancelled_ = true;
-      } else {
+      } else if (cancel_.expired()) {
         hit_deadline_ = true;
+      } else {
+        hit_timeout_ = true;
       }
       return std::nullopt;
     }
@@ -284,10 +286,15 @@ util::Result<Enumeration> PreparedQuery::ExecutePlan(
   const dl::FactId target = plan->target();
   auto impl = std::make_unique<pv::WhyProvenanceEnumerator>(
       state->model, std::move(plan), std::move(solver).value());
-  impl->SetCancellation(request.cancellation);
+  std::optional<Enumeration::TimePoint> timeout_at;
+  if (request.timeout_seconds > 0) {
+    timeout_at = std::chrono::steady_clock::now() +
+                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                     std::chrono::duration<double>(request.timeout_seconds));
+  }
+  impl->SetCancellation(request.cancellation, timeout_at);
   return Enumeration(std::move(state), std::move(impl), target,
-                     request.max_members, request.timeout_seconds,
-                     request.cancellation);
+                     request.max_members, timeout_at, request.cancellation);
 }
 
 dl::FactId PreparedQuery::target() const { return plan_->target(); }

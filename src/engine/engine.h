@@ -2,6 +2,7 @@
 #define WHYPROV_ENGINE_ENGINE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -116,7 +117,9 @@ struct EnumerateRequest {
   std::string target_text;
   /// Stop after this many members (kNoLimit = enumerate to exhaustion).
   std::size_t max_members = kNoLimit;
-  /// Stop once this much wall-clock time has elapsed (<= 0 = no timeout).
+  /// Stop once this much wall-clock time has elapsed since Enumerate
+  /// returned (<= 0 = no timeout). The solver polls it mid-search, like a
+  /// request deadline; the handle reports it as hit_timeout().
   double timeout_seconds = 0;
   /// Request-scoped overrides of the engine defaults. (PreparedQuery
   /// executions ignore `target`/`target_text`/`acyclicity`: those are
@@ -466,24 +469,28 @@ class Enumeration {
   friend class Engine;
   friend class PreparedQuery;
 
+  using TimePoint = std::chrono::steady_clock::time_point;
+
   Enumeration(std::shared_ptr<const EngineState> state,
               std::unique_ptr<provenance::WhyProvenanceEnumerator> impl,
               datalog::FactId target, std::size_t max_members,
-              double timeout_seconds, util::CancellationToken cancellation)
+              std::optional<TimePoint> timeout_at,
+              util::CancellationToken cancellation)
       : state_(std::move(state)),
         impl_(std::move(impl)),
         target_(target),
         max_members_(max_members),
-        timeout_seconds_(timeout_seconds),
+        timeout_at_(timeout_at),
         cancel_(std::move(cancellation)) {}
 
   std::shared_ptr<const EngineState> state_;
   std::unique_ptr<provenance::WhyProvenanceEnumerator> impl_;
   datalog::FactId target_;
   std::size_t max_members_;
-  double timeout_seconds_;
+  /// When the request's timeout runs out (set when Enumerate returns the
+  /// handle); the solver polls it mid-search too.
+  std::optional<TimePoint> timeout_at_;
   util::CancellationToken cancel_;
-  util::Timer clock_;  // starts when Enumerate returns the handle
   std::size_t emitted_ = 0;
   bool exhausted_ = false;
   bool hit_member_cap_ = false;

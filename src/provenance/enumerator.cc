@@ -60,30 +60,45 @@ WhyProvenanceEnumerator::WhyProvenanceEnumerator(
   plan_->LoadInto(*solver_);
 }
 
-void WhyProvenanceEnumerator::SetCancellation(util::CancellationToken token) {
+void WhyProvenanceEnumerator::SetCancellation(
+    util::CancellationToken token,
+    std::optional<std::chrono::steady_clock::time_point> stop_at) {
   cancel_ = std::move(token);
-  if (cancel_.valid()) {
-    // The solver re-polls the same token inside its search loop, so a
-    // cancel/deadline fires mid-solve, not just between members.
-    solver_->SetInterruptCheck(
-        [token = cancel_] { return token.ShouldStop(); });
-    // A deadline additionally becomes a budget hint, so a deadline-bound
-    // backend can stop at a restart boundary (kUnknown, enumeration
-    // incomplete) instead of being chopped mid-search by the poll. A
-    // token without one clears any hint a previous token installed.
-    if (const auto deadline = cancel_.deadline()) {
-      solver_->SetDeadlineHint(*deadline);
-    } else {
-      solver_->ClearDeadlineHint();
-    }
-  } else {
+  stop_at_ = stop_at;
+  if (!cancel_.valid() && !stop_at_) {
     solver_->SetInterruptCheck(nullptr);
+    solver_->ClearDeadlineHint();
+    return;
+  }
+  // The solver re-polls the token and the budget inside its search loop,
+  // so a cancel, deadline or timeout fires mid-solve, not just between
+  // members.
+  solver_->SetInterruptCheck([token = cancel_, stop_at] {
+    return ShouldStop(token, stop_at);
+  });
+  // The earlier deadline additionally becomes a budget hint, so a
+  // deadline-bound backend can stop at a restart boundary (kUnknown,
+  // enumeration incomplete) instead of being chopped mid-search by the
+  // poll. Neither clears any hint a previous call installed.
+  std::optional<std::chrono::steady_clock::time_point> hint =
+      cancel_.deadline();
+  if (stop_at_ && (!hint || *stop_at_ < *hint)) hint = stop_at_;
+  if (hint) {
+    solver_->SetDeadlineHint(*hint);
+  } else {
     solver_->ClearDeadlineHint();
   }
 }
 
+bool WhyProvenanceEnumerator::ShouldStop(
+    const util::CancellationToken& token,
+    std::optional<std::chrono::steady_clock::time_point> stop_at) {
+  return token.ShouldStop() ||
+         (stop_at && std::chrono::steady_clock::now() >= *stop_at);
+}
+
 std::optional<std::vector<dl::Fact>> WhyProvenanceEnumerator::Next() {
-  if (cancel_.ShouldStop()) {
+  if (ShouldStop(cancel_, stop_at_)) {
     interrupted_ = true;
     return std::nullopt;
   }
@@ -94,7 +109,7 @@ std::optional<std::vector<dl::Fact>> WhyProvenanceEnumerator::Next() {
   util::Timer timer;
   const sat::SolveResult result = solver_->Solve();
   if (result != sat::SolveResult::kSat) {
-    if (result == sat::SolveResult::kUnknown && cancel_.ShouldStop()) {
+    if (result == sat::SolveResult::kUnknown && ShouldStop(cancel_, stop_at_)) {
       // An interrupted search is not exhaustion: the family may have more
       // members, the request just stopped wanting them.
       interrupted_ = true;

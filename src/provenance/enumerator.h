@@ -1,6 +1,7 @@
 #ifndef WHYPROV_PROVENANCE_ENUMERATOR_H_
 #define WHYPROV_PROVENANCE_ENUMERATOR_H_
 
+#include <chrono>
 #include <cstddef>
 #include <limits>
 #include <memory>
@@ -88,16 +89,21 @@ class WhyProvenanceEnumerator {
   std::vector<std::vector<datalog::Fact>> All(
       std::size_t max_members = kNoLimit);
 
-  /// Installs a cancellation/deadline token: Next() checks it between
-  /// solver calls and the solver polls it *during* a solve, so a cancelled
-  /// or expired request stops promptly even mid-search. An interrupted
-  /// Next() returns nullopt without marking the enumeration exhausted —
-  /// see interrupted() — and the caller classifies the reason via the
-  /// token it holds.
-  void SetCancellation(util::CancellationToken token);
+  /// Installs a cancellation/deadline token and an optional time budget
+  /// `stop_at` (a request timeout): Next() checks both between solver
+  /// calls and the solver polls both *during* a solve, with the earlier
+  /// of the token's deadline and `stop_at` as its deadline hint, so a
+  /// cancelled, expired or timed-out request stops promptly even
+  /// mid-search. An interrupted Next() returns nullopt without marking
+  /// the enumeration exhausted — see interrupted() — and the caller
+  /// classifies the reason via the token and budget it holds.
+  void SetCancellation(
+      util::CancellationToken token,
+      std::optional<std::chrono::steady_clock::time_point> stop_at =
+          std::nullopt);
 
-  /// True if a cancellation and/or deadline interrupt (not exhaustion and
-  /// not a backend give-up) stopped the most recent Next().
+  /// True if a cancellation, deadline or time-budget interrupt (not
+  /// exhaustion and not a backend give-up) stopped the most recent Next().
   bool interrupted() const { return interrupted_; }
 
   /// True if a Solve() answered kUnknown (backend failure or budget
@@ -137,7 +143,13 @@ class WhyProvenanceEnumerator {
   const datalog::Model* model_;
   std::shared_ptr<const QueryPlan> plan_;
   std::unique_ptr<sat::SolverInterface> solver_;
+  /// True once `token` or the time budget `stop_at` demands a stop.
+  static bool ShouldStop(
+      const util::CancellationToken& token,
+      std::optional<std::chrono::steady_clock::time_point> stop_at);
+
   util::CancellationToken cancel_;
+  std::optional<std::chrono::steady_clock::time_point> stop_at_;
   std::vector<double> delays_ms_;
   std::unordered_map<datalog::FactId, std::size_t> last_witness_choices_;
   bool exhausted_ = false;

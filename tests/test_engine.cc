@@ -170,6 +170,27 @@ TEST(EngineEnumerateTest, ExhaustionIsSticky) {
   EXPECT_TRUE(enumeration.value().All().empty());
 }
 
+TEST(EngineEnumerateTest, TimeoutStopsALongSearch) {
+  // tc(n76, n71) on this instance yields a first member within
+  // milliseconds; its second member needs minutes of CDCL search. The
+  // timeout must stop that search, not wait for the next member.
+  const auto scenario = scenarios::MakeTransClosure(
+      scenarios::GraphKind::kSocial, 96, 300, 1);
+  const Engine engine = scenario.MakeEngine();
+  EnumerateRequest request;
+  request.target_text = "tc(n76, n71)";
+  request.timeout_seconds = 0.3;
+  auto enumeration = engine.Enumerate(request);
+  ASSERT_TRUE(enumeration.ok()) << enumeration.status().message();
+  const auto start = std::chrono::steady_clock::now();
+  while (enumeration.value().Next().has_value()) {
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_TRUE(enumeration.value().hit_timeout());
+  EXPECT_FALSE(enumeration.value().deadline_exceeded());
+  EXPECT_FALSE(enumeration.value().exhausted());
+}
+
 TEST(EngineEnumerateTest, MissingTargetIsInvalidArgument) {
   auto engine =
       Engine::FromText(kExample1Program, kExample1Database, "a");

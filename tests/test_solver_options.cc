@@ -2,11 +2,14 @@
 // option combination must preserve correctness (against brute force), and
 // the Luby sequence must be the real thing.
 
+#include <set>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sat/dimacs.h"
+#include "sat/dpll_solver.h"
 #include "sat/solver.h"
 #include "util/rng.h"
 
@@ -116,6 +119,68 @@ TEST(SolverOptionsTest, ActivityHintsChangeDecisionOrder) {
   ASSERT_TRUE(solver.AddBinary(Lit::Make(a, false), Lit::Make(b, false)));
   ASSERT_EQ(solver.Solve(), SolveResult::kSat);
   EXPECT_EQ(solver.ModelValue(b), LBool::kTrue);
+}
+
+// Enumerates up to `max_models` models of `formula`, blocking each on the
+// values of its first `num_selectors` variables (as the provenance
+// enumerator blocks on fact selectors); returns their projections.
+// `after_solve` sees the solver after every Solve call.
+template <typename AfterSolve>
+std::set<std::vector<bool>> EnumerateProjections(SolverInterface& solver,
+                                                 const CnfFormula& formula,
+                                                 int num_selectors,
+                                                 AfterSolve after_solve) {
+  formula.LoadInto(solver);
+  std::set<std::vector<bool>> models;
+  while (solver.ok()) {
+    const SolveResult result = solver.Solve();
+    after_solve();
+    if (result != SolveResult::kSat) break;
+    std::vector<bool> model;
+    std::vector<Lit> blocking;
+    for (Var v = 0; v < num_selectors; ++v) {
+      model.push_back(solver.ModelValue(v) == LBool::kTrue);
+      blocking.push_back(Lit::Make(v, model.back()));
+    }
+    EXPECT_TRUE(models.insert(model).second) << "a projection repeated";
+    if (!solver.AddClause(blocking)) break;
+  }
+  return models;
+}
+
+TEST(SolverOptionsTest, ArenaStaysBoundedUnderFrequentReductions) {
+  // A tiny reduce_base reduces the learnt database every few conflicts
+  // over a long enumeration. Reduction compacts the clause arena, so its
+  // allocation must track the clauses still in use instead of growing
+  // with every clause ever learnt.
+  SolverOptions options;
+  options.reduce_base = 8;
+  options.reduce_increment = 1;
+  util::Rng rng(0xa4e7a);
+  const CnfFormula formula = RandomThreeCnf(rng, 150, 600);
+  Solver cdcl(options);
+  Solver::ArenaUsage usage;
+  const auto models = EnumerateProjections(cdcl, formula, 12, [&] {
+    usage = cdcl.arena_usage();
+    // Compaction reserves exactly the live words; appends at most double.
+    EXPECT_LE(usage.capacity, 2 * usage.live_words + 16);
+  });
+  EXPECT_GT(models.size(), 16u);
+  // Each freed clause held at least 8 words (3 literals, header and
+  // activity, padded): kept, they would have broken the bound above.
+  EXPECT_GT(cdcl.stats().deleted_clauses * 8, 4 * usage.live_words);
+
+  // The same options on a formula small enough for the DPLL backend,
+  // blocking on every variable: both must find the same models.
+  util::Rng small_rng(0xa4e7a);
+  const CnfFormula small = RandomThreeCnf(small_rng, 40, 144);
+  Solver small_cdcl(options);
+  const auto cdcl_models = EnumerateProjections(small_cdcl, small, 40, [] {});
+  DpllSolver dpll;
+  const auto dpll_models = EnumerateProjections(dpll, small, 40, [] {});
+  EXPECT_GT(cdcl_models.size(), 50u);
+  EXPECT_GT(small_cdcl.stats().deleted_clauses, 100u);
+  EXPECT_EQ(cdcl_models, dpll_models);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -286,11 +287,12 @@ util::Result<Enumeration> PreparedQuery::ExecutePlan(
   const dl::FactId target = plan->target();
   auto impl = std::make_unique<pv::WhyProvenanceEnumerator>(
       state->model, std::move(plan), std::move(solver).value());
+  using Clock = std::chrono::steady_clock;
   std::optional<Enumeration::TimePoint> timeout_at;
   if (request.timeout_seconds > 0) {
-    timeout_at = std::chrono::steady_clock::now() +
-                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double>(request.timeout_seconds));
+    timeout_at = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                    std::chrono::duration<double>(
+                                        request.timeout_seconds));
   }
   impl->SetCancellation(request.cancellation, timeout_at);
   return Enumeration(std::move(state), std::move(impl), target,

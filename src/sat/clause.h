@@ -114,12 +114,8 @@ class ClauseArena {
     return words_[ref + Clause::kHeader];
   }
 
-  /// Words in use, including freed clauses not yet compacted away.
-  std::size_t size() const { return words_.size(); }
   /// Words allocated, in use or not.
   std::size_t capacity() const { return words_.capacity(); }
-  /// Words of freed clauses.
-  std::size_t wasted() const { return wasted_; }
 
  private:
   static std::size_t Words(std::size_t num_lits, bool learnt);

@@ -485,8 +485,7 @@ SolveResult Solver::Search(std::int64_t conflicts_allowed,
         UncheckedEnqueue(learnt[0], kNoClause);
       } else {
         const ClauseRef ref = arena_.Allocate(learnt, true);
-        Clause c = arena_.At(ref);
-        c.set_lbd(static_cast<std::uint32_t>(lbd));
+        arena_.At(ref).set_lbd(static_cast<std::uint32_t>(lbd));
         learnt_clauses_.push_back(ref);
         ++stats_.learnt_clauses;
         AttachClause(ref);

@@ -1,6 +1,7 @@
 #ifndef WHYPROV_SAT_SOLVER_H_
 #define WHYPROV_SAT_SOLVER_H_
 
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -24,8 +25,9 @@ namespace whyprov::sat {
 /// loop depends on the latter).
 ///
 /// The search is a pure function of the loaded formula, the options and
-/// the calls made: no clock, address or hash order reaches a decision.
-/// The golden trajectory tests in tests/test_sat_solver.cc pin it.
+/// the calls made: apart from a deadline hint, no clock, address or hash
+/// order reaches a decision. The golden trajectory tests in
+/// tests/test_sat_solver.cc pin it.
 ///
 /// Layout. Clauses live in one `ClauseArena` of 32-bit words, referenced
 /// by word offset. Values are kept per literal, so reading a literal's
@@ -134,6 +136,7 @@ class Solver : public SolverInterface {
   LBool Value(Lit l) const { return values_[l.index()]; }
   int DecisionLevel() const { return static_cast<int>(trail_lim_.size()); }
   void UncheckedEnqueue(Lit l, ClauseRef reason) {
+    assert(Value(l) == LBool::kUndef);
     values_[l.index()] = LBool::kTrue;
     values_[(~l).index()] = LBool::kFalse;
     level_[l.var()] = DecisionLevel();
@@ -177,10 +180,10 @@ class Solver : public SolverInterface {
   std::vector<ClauseRef> learnt_clauses_;
   std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::index()
 
-  std::vector<LBool> values_;          // by Lit::index()
+  std::vector<LBool> values_;           // by Lit::index()
   std::vector<std::uint8_t> polarity_;  // saved phase (1 = false), by var
-  std::vector<int> level_;             // by var
-  std::vector<ClauseRef> reason_;  // by var
+  std::vector<int> level_;              // by var
+  std::vector<ClauseRef> reason_;       // by var
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;
   std::size_t propagate_head_ = 0;

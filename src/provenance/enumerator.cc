@@ -29,6 +29,13 @@ std::unique_ptr<sat::SolverInterface> MakeSolver(
   return std::make_unique<sat::Solver>(options.solver_options);
 }
 
+/// True once `token` or the time budget `stop_at` demands a stop.
+bool ShouldStop(const util::CancellationToken& token,
+                std::optional<std::chrono::steady_clock::time_point> stop_at) {
+  return token.ShouldStop() ||
+         (stop_at && std::chrono::steady_clock::now() >= *stop_at);
+}
+
 CnfEncoder::Options EncoderOptions(
     const WhyProvenanceEnumerator::Options& options) {
   CnfEncoder::Options encoder_options;
@@ -79,7 +86,7 @@ void WhyProvenanceEnumerator::SetCancellation(
   // The earlier deadline additionally becomes a budget hint, so a
   // deadline-bound backend can stop at a restart boundary (kUnknown,
   // enumeration incomplete) instead of being chopped mid-search by the
-  // poll. Neither clears any hint a previous call installed.
+  // poll. With neither deadline, a hint from a previous call is cleared.
   std::optional<std::chrono::steady_clock::time_point> hint =
       cancel_.deadline();
   if (stop_at_ && (!hint || *stop_at_ < *hint)) hint = stop_at_;
@@ -88,13 +95,6 @@ void WhyProvenanceEnumerator::SetCancellation(
   } else {
     solver_->ClearDeadlineHint();
   }
-}
-
-bool WhyProvenanceEnumerator::ShouldStop(
-    const util::CancellationToken& token,
-    std::optional<std::chrono::steady_clock::time_point> stop_at) {
-  return token.ShouldStop() ||
-         (stop_at && std::chrono::steady_clock::now() >= *stop_at);
 }
 
 std::optional<std::vector<dl::Fact>> WhyProvenanceEnumerator::Next() {

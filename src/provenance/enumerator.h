@@ -143,11 +143,6 @@ class WhyProvenanceEnumerator {
   const datalog::Model* model_;
   std::shared_ptr<const QueryPlan> plan_;
   std::unique_ptr<sat::SolverInterface> solver_;
-  /// True once `token` or the time budget `stop_at` demands a stop.
-  static bool ShouldStop(
-      const util::CancellationToken& token,
-      std::optional<std::chrono::steady_clock::time_point> stop_at);
-
   util::CancellationToken cancel_;
   std::optional<std::chrono::steady_clock::time_point> stop_at_;
   std::vector<double> delays_ms_;
